@@ -1,4 +1,4 @@
-//! Shared synthetic workloads used by the benches and the `perf` binary.
+//! Shared synthetic workloads used by the `perf` binary.
 //!
 //! `soap-sdg`'s own tests (`perf_smoke.rs`, `solver_differential.rs`) carry a
 //! private copy of `chain_of_matmuls` in `crates/sdg/tests/common/fixtures.rs`
@@ -7,9 +7,7 @@
 //! `tests/fixture_sync.rs` test compares the built `Program`s of both copies
 //! and fails if they drift.
 
-use soap_core::AccessModel;
 use soap_ir::{Program, ProgramBuilder};
-use soap_symbolic::Expr;
 
 /// A chain of `k` matrix-multiplication statements
 /// (`T_{s+1}[i,j] += T_s[i,k]·W_{s+1}[k,j]`), the paper's SDG scaling
@@ -79,21 +77,4 @@ pub fn skewed_hub(hub: usize, tail: usize) -> Program {
     }
     // lint:allow(unwrap-expect): builder inputs are static fixture tables; failure is an authoring bug caught by tier-1 tests
     b.build().expect("skewed hub builds")
-}
-
-/// The matrix-multiplication [`AccessModel`] over the given tile-variable
-/// names: χ = D₀·D₁·D₂, g = D₀·D₂ + D₂·D₁ + D₀·D₁.
-pub fn mmm_access_model(name: &str, vars: [&str; 3]) -> AccessModel {
-    let tile_var = soap_core::access_size::tile_var;
-    let dv = |v: &str| Expr::sym(tile_var(v));
-    AccessModel {
-        name: name.into(),
-        tile_variables: vars.iter().map(|v| tile_var(v)).collect(),
-        objective: dv(vars[0]).mul(dv(vars[1])).mul(dv(vars[2])),
-        dominator: dv(vars[0])
-            .mul(dv(vars[2]))
-            .add(dv(vars[2]).mul(dv(vars[1])))
-            .add(dv(vars[0]).mul(dv(vars[1]))),
-        access_index_sets: vec![],
-    }
 }

@@ -8,8 +8,8 @@
 //!
 //! The library part contains the shared row-building code; the binaries
 //! (`table2`, `validate_pebbling`) print human-readable tables and emit
-//! machine-readable JSON records, and the Criterion benches under `benches/`
-//! time the individual pipeline stages.
+//! machine-readable JSON records, and the `perf` binary times the individual
+//! pipeline stages.
 #![forbid(unsafe_code)]
 
 pub mod fixtures;

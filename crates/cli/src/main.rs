@@ -89,10 +89,8 @@ fn usage() -> ! {
          environment:\n  \
          SOAP_THREADS       default worker-thread count (same validation and clamp as\n                     \
          --threads, which overrides it)\n  \
-         SOAP_CACHE_SHARDS  lock-stripe count of the in-memory solve cache (positive\n                     \
-         integer; clamped to a power of two <= 1024; default 16)\n  \
-         SOAP_CACHE_DIR     store directory for the process-wide global solve cache\n                     \
-         (library embeddings; the CLI subcommands use --cache-dir)\n  \
+         SOAP_CACHE_DIR     default store directory of the serve daemon (see --cache-dir,\n                     \
+         which overrides it)\n  \
          SOAP_TIMEOUT_MS    default per-program budget (same validation as --timeout-ms,\n                     \
          which overrides it); SOAP_SUITE_TIMEOUT_MS likewise for the suite\n  \
          SOAP_FAULT_PLAN    deterministic fault-injection plan for chaos testing\n                     \
@@ -174,8 +172,8 @@ fn flush_cache(cache: &SolveCache) -> bool {
 }
 
 /// Apply a `--threads N` override to the process-wide worker budget, with
-/// the same validation contract as `SOAP_CACHE_SHARDS` / `SOAP_THREADS`: an
-/// unparsable value is an explicit usage error, never a silent guess.
+/// the same validation contract as `SOAP_THREADS`: an unparsable value is an
+/// explicit usage error, never a silent guess.
 fn set_threads_or_usage(raw: &str) {
     match parse_worker_threads(raw) {
         Some(n) => {
@@ -510,33 +508,9 @@ fn batch(args: &[String]) -> ExitCode {
                 // cache accounting (including the thread-order-dependent
                 // cross- vs intra-program hit split) live in the suite
                 // summary record alone.
-                let mut record = serde_json::json!({
-                    "program": report.name,
-                    "ok": true,
-                    "bound": format!("{}", analysis.bound),
-                    "per_array": analysis.per_array.iter().map(|a| serde_json::json!({
-                        "array": a.array,
-                        "rho": format!("{}", a.rho),
-                        "sigma": format!("{}", a.sigma),
-                    })).collect::<Vec<_>>(),
-                    "notes": analysis.notes,
-                });
-                // Degradation fields only when present: default-config output
-                // stays byte-identical to earlier releases.
-                if analysis.degraded {
-                    if let serde_json::Value::Object(fields) = &mut record {
-                        fields.push(("degraded".to_string(), serde_json::to_value(&true)));
-                        fields.push((
-                            "subgraphs_cancelled".to_string(),
-                            serde_json::to_value(&analysis.solver.cancelled),
-                        ));
-                        fields.push((
-                            "arrays_deferred".to_string(),
-                            serde_json::to_value(&analysis.arrays_deferred),
-                        ));
-                    }
-                }
-                record
+                let mut fields = vec![("program".to_string(), serde_json::to_value(&report.name))];
+                fields.extend(analysis.record_fields());
+                serde_json::Value::Object(fields)
             }
             Err(e) => serde_json::json!({
                 "program": report.name,

@@ -62,7 +62,7 @@ pub const MAX_WORKER_THREADS: usize = 512;
 /// to [`MAX_WORKER_THREADS`].  `None` for anything that does not parse as a
 /// positive integer — callers fall back to the hardware default rather than
 /// guessing what a typo meant (the same validation contract as
-/// `parse_cache_shards` in `soap-sdg`).
+/// `parse_timeout_ms` in `soap-sdg`).
 pub fn parse_worker_threads(raw: &str) -> Option<usize> {
     let n: usize = raw.trim().parse().ok().filter(|&n| n > 0)?;
     Some(n.min(MAX_WORKER_THREADS))

@@ -86,20 +86,13 @@ impl IntensityResult {
 /// [`ConstrainedProduct::new`]; all three power-law probes and the tile-shape
 /// solve reuse the compiled arrays.
 pub fn solve_model(model: &AccessModel) -> Result<IntensityResult, AnalysisError> {
-    solve_model_instrumented(model).0
+    solve_model_impl(model, ProblemBuild::Compiled, None).0
 }
 
-/// [`solve_model`] plus the aggregated KKT accounting of all its probe
-/// solves — the cross-subgraph cache uses the accounting to surface
-/// iteration-budget exhaustion in `SolverSummary`.
-pub fn solve_model_instrumented(
-    model: &AccessModel,
-) -> (Result<IntensityResult, AnalysisError>, SolveInfo) {
-    solve_model_impl(model, ProblemBuild::Compiled, None)
-}
-
-/// [`solve_model_instrumented`] under an optional [`Deadline`]: the KKT loops
-/// poll the deadline and the whole solve returns
+/// [`solve_model`] under an optional [`Deadline`], plus the aggregated KKT
+/// accounting of all its probe solves — the cross-subgraph cache uses the
+/// accounting to surface iteration-budget exhaustion in `SolverSummary`.
+/// The KKT loops poll the deadline and the whole solve returns
 /// [`AnalysisError::Cancelled`] when the budget expires mid-solve.
 pub fn solve_model_instrumented_governed(
     model: &AccessModel,
@@ -108,18 +101,10 @@ pub fn solve_model_instrumented_governed(
     solve_model_impl(model, ProblemBuild::Compiled, deadline)
 }
 
-/// [`solve_model`] with both sides already compiled (the solve cache compiles
-/// them for its canonical key); skips the duplicate compilation of
-/// [`ConstrainedProduct::new`] but takes exactly the same numeric path.
-pub fn solve_model_precompiled(
-    model: &AccessModel,
-    objective: CompiledPosynomial,
-    dominator: CompiledConstraint,
-) -> (Result<IntensityResult, AnalysisError>, SolveInfo) {
-    solve_model_precompiled_governed(model, objective, dominator, None)
-}
-
-/// [`solve_model_precompiled`] under an optional [`Deadline`].
+/// [`solve_model_instrumented_governed`] with both sides already compiled
+/// (the solve cache compiles them for its canonical key); skips the
+/// duplicate compilation of [`ConstrainedProduct::new`] but takes exactly
+/// the same numeric path.
 pub fn solve_model_precompiled_governed(
     model: &AccessModel,
     objective: CompiledPosynomial,

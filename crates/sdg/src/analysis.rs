@@ -217,6 +217,46 @@ impl ProgramAnalysis {
     pub fn bound_string(&self) -> String {
         format!("{}", self.bound)
     }
+
+    /// The analysis record, in field order: `ok`, `bound`, `per_array`
+    /// (`array`/`rho`/`sigma`), `notes`, then `degraded` /
+    /// `subgraphs_cancelled` / `arrays_deferred` only when the analysis
+    /// degraded, so default-config output never changes shape.  Every field
+    /// is order- and time-invariant; the caller supplies the `program` name
+    /// (`soap-cli batch` prefixes it to each line, `soap-serve` splices it
+    /// into the memoized tail), so both surfaces emit the same bytes.
+    pub fn record_fields(&self) -> Vec<(String, serde::Value)> {
+        use serde::{Serialize, Value};
+        let per_array = self
+            .per_array
+            .iter()
+            .map(|a| {
+                Value::Object(vec![
+                    ("array".to_string(), Value::Str(a.array.clone())),
+                    ("rho".to_string(), Value::Str(a.rho.to_string())),
+                    ("sigma".to_string(), Value::Str(a.sigma.to_string())),
+                ])
+            })
+            .collect();
+        let mut fields = vec![
+            ("ok".to_string(), Value::Bool(true)),
+            ("bound".to_string(), Value::Str(self.bound.to_string())),
+            ("per_array".to_string(), Value::Array(per_array)),
+            ("notes".to_string(), self.notes.to_value()),
+        ];
+        if self.degraded {
+            fields.push(("degraded".to_string(), Value::Bool(true)));
+            fields.push((
+                "subgraphs_cancelled".to_string(),
+                self.solver.cancelled.to_value(),
+            ));
+            fields.push((
+                "arrays_deferred".to_string(),
+                self.arrays_deferred.to_value(),
+            ));
+        }
+        fields
+    }
 }
 
 /// Analyze a program with default options.

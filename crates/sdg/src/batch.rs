@@ -22,8 +22,7 @@
 //! (see [`crate::cache`]).
 
 use crate::analysis::{
-    analyze_program_governed, analyze_program_with_cache, panic_message, PhaseTimings,
-    ProgramAnalysis, SdgOptions,
+    analyze_program_governed, panic_message, PhaseTimings, ProgramAnalysis, SdgOptions,
 };
 use crate::cache::{CacheStats, SolveCache};
 use rayon::prelude::*;
@@ -167,12 +166,12 @@ pub fn analyze_suite(jobs: &[SuiteProgram]) -> BatchAnalysis {
     analyze_suite_with(jobs, &SolveCache::new())
 }
 
-/// Analyze a suite of programs over a caller-provided shared cache (e.g.
-/// [`crate::cache::global_solve_cache`] in a long-running service, so
-/// structures solved by *earlier* suites are reused too — or a cache opened
-/// with [`SolveCache::with_store`](crate::SolveCache::with_store), so
-/// structures solved by earlier *processes* are reused and new solves persist
-/// for later ones; remember to flush such a cache at session end).
+/// Analyze a suite of programs over a caller-provided shared cache (e.g. one
+/// kept alive by a long-running service, so structures solved by *earlier*
+/// suites are reused too — or a cache opened with
+/// [`SolveCache::with_store`](crate::SolveCache::with_store), so structures
+/// solved by earlier *processes* are reused and new solves persist for later
+/// ones; remember to flush such a cache at session end).
 ///
 /// The summary's cache stats are the cache's counter deltas over this call;
 /// when other threads use the same cache concurrently their traffic is
@@ -204,11 +203,6 @@ pub fn analyze_suite_governed(
     program_budget: Option<Duration>,
     suite_budget: Option<Duration>,
 ) -> BatchAnalysis {
-    if program_budget.is_none() && suite_budget.is_none() {
-        return analyze_suite_inner(jobs, cache, &|job| {
-            analyze_program_with_cache(&job.program, &job.opts, cache)
-        });
-    }
     let suite_deadline = suite_budget.map(Deadline::after);
     analyze_suite_inner(jobs, cache, &|job| {
         let budget = match (
@@ -225,9 +219,9 @@ pub fn analyze_suite_governed(
 }
 
 /// Parse a `--timeout-ms` / `SOAP_TIMEOUT_MS`-style millisecond budget.
-/// Strict in the spirit of [`crate::cache::parse_cache_shards`]: trimmed,
-/// positive integer, anything else — including 0, which would mean "degrade
-/// everything" and is never what the caller wants — is `None`.
+/// Strict: trimmed, positive integer, anything else — including 0, which
+/// would mean "degrade everything" and is never what the caller wants — is
+/// `None`.
 pub fn parse_timeout_ms(raw: &str) -> Option<Duration> {
     let ms: u64 = raw.trim().parse().ok().filter(|&ms| ms > 0)?;
     Some(Duration::from_millis(ms))
@@ -343,6 +337,7 @@ fn disambiguated_names(jobs: &[SuiteProgram]) -> (Vec<String>, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::analyze_program_with_cache;
     use soap_ir::ProgramBuilder;
 
     fn matmul(name: &str, vars: [&str; 3]) -> Program {

@@ -27,8 +27,8 @@
 //!
 //! The cache itself is a **sharded** hash map (lock stripes keyed by the
 //! canonical key's hash) shared across the rayon workers of one program
-//! analysis — or, through [`SolveCache::session`] /
-//! [`global_solve_cache`], across *many* program analyses of a batch run.
+//! analysis — or, through [`SolveCache::session`], across *many* program
+//! analyses of a batch run.
 //! Hits re-instantiate the cached solution under the requesting model's
 //! variable names.
 //!
@@ -450,41 +450,11 @@ impl CacheCounters {
     }
 }
 
-/// Number of lock stripes of [`SolveCache::new`] when `SOAP_CACHE_SHARDS` is
-/// unset: enough that the rayon workers of a whole-registry batch run rarely
-/// contend on the same mutex, small enough that an empty cache stays cheap to
-/// allocate per analysis.
+/// Number of lock stripes of [`SolveCache::new`]: enough that the rayon
+/// workers of a whole-registry batch run rarely contend on the same mutex,
+/// small enough that an empty cache stays cheap to allocate per analysis.
+/// The shard count changes lock contention only, never results.
 pub const DEFAULT_CACHE_SHARDS: usize = 16;
-
-/// Upper clamp of the `SOAP_CACHE_SHARDS` override: far above any plausible
-/// core count, low enough that a typo (`SOAP_CACHE_SHARDS=16384`) cannot
-/// allocate an absurd stripe array per analysis.
-pub const MAX_CACHE_SHARDS: usize = 1024;
-
-/// Parse a `SOAP_CACHE_SHARDS` override: a positive integer, clamped to the
-/// nearest power of two ≥ it (lock striping by `hash % n` distributes best at
-/// powers of two) and capped at [`MAX_CACHE_SHARDS`].  `None` for anything
-/// that does not parse as a positive integer — the caller falls back to
-/// [`DEFAULT_CACHE_SHARDS`] rather than guessing what a typo meant.
-pub fn parse_cache_shards(raw: &str) -> Option<usize> {
-    let n: usize = raw.trim().parse().ok().filter(|&n| n > 0)?;
-    // Clamp before rounding: MAX_CACHE_SHARDS is itself a power of two, so
-    // min-first is equivalent and cannot overflow `next_power_of_two` the
-    // way a near-usize::MAX input would.
-    Some(n.min(MAX_CACHE_SHARDS).next_power_of_two())
-}
-
-/// The shard count of [`SolveCache::new`]: the validated `SOAP_CACHE_SHARDS`
-/// environment override when set (so the single-core reference host and
-/// multi-core hosts can both be measured without a rebuild), otherwise
-/// [`DEFAULT_CACHE_SHARDS`].  The shard count is a concurrency knob only —
-/// results are byte-identical for any value.
-pub fn cache_shards_from_env() -> usize {
-    std::env::var("SOAP_CACHE_SHARDS")
-        .ok()
-        .and_then(|raw| parse_cache_shards(&raw))
-        .unwrap_or(DEFAULT_CACHE_SHARDS)
-}
 
 /// One lock stripe: its slice of the key→cell map.
 type CacheShard = Mutex<HashMap<CanonicalKey, Arc<SolveCell>>>;
@@ -571,38 +541,6 @@ impl Drop for SolveCache {
 /// the canonical solution itself.
 type SolveCell = OnceLock<(u64, Result<CanonicalSolution, AnalysisError>)>;
 
-/// The process-lifetime solve cache (the *global solve cache*): one shared
-/// [`SolveCache`] that outlives any single analysis, so long-running services
-/// can thread it through every `analyze_program_with_cache` /
-/// `analyze_suite_with` call and amortize solves across requests.
-///
-/// Two environment variables shape its first use:
-///
-/// * `SOAP_CACHE_SHARDS` — validated lock-stripe override, see
-///   [`cache_shards_from_env`];
-/// * `SOAP_CACHE_DIR` — when set (and non-empty), the global cache opens the
-///   disk-persisted store at that directory, hydrating every structure solved
-///   by *earlier processes*.  The global cache is never dropped, so services
-///   using it should call [`SolveCache::flush_store`] at their own session
-///   boundaries; if the store cannot be opened, a warning goes to stderr and
-///   the cache degrades to in-memory.
-pub fn global_solve_cache() -> &'static SolveCache {
-    static GLOBAL: OnceLock<SolveCache> = OnceLock::new();
-    GLOBAL.get_or_init(|| {
-        if let Ok(dir) = std::env::var("SOAP_CACHE_DIR") {
-            if !dir.is_empty() {
-                match SolveCache::with_store(&dir) {
-                    Ok(cache) => return cache,
-                    Err(e) => eprintln!(
-                        "soap: cannot open solve store SOAP_CACHE_DIR={dir}: {e}; continuing with an in-memory cache"
-                    ),
-                }
-            }
-        }
-        SolveCache::new()
-    })
-}
-
 /// A per-analysis view of a (possibly shared) [`SolveCache`]: carries the
 /// session's scope id (for cross-program hit classification) and its own
 /// counters, so [`CacheSession::stats`] reports exactly this analysis's
@@ -640,10 +578,9 @@ impl CacheSession<'_> {
 }
 
 impl SolveCache {
-    /// An empty cache with [`cache_shards_from_env`] lock stripes
-    /// ([`DEFAULT_CACHE_SHARDS`] unless `SOAP_CACHE_SHARDS` overrides it).
+    /// An empty cache with [`DEFAULT_CACHE_SHARDS`] lock stripes.
     pub fn new() -> SolveCache {
-        SolveCache::with_shards(cache_shards_from_env())
+        SolveCache::with_shards(DEFAULT_CACHE_SHARDS)
     }
 
     /// An empty cache with `n` lock stripes (clamped to ≥ 1).  The shard
@@ -672,7 +609,7 @@ impl SolveCache {
     /// counted notes, never a panic: see
     /// [`store_load_stats`](SolveCache::store_load_stats).
     pub fn with_store(dir: impl Into<std::path::PathBuf>) -> std::io::Result<SolveCache> {
-        SolveCache::with_store_and_shards(dir, cache_shards_from_env())
+        SolveCache::with_store_configured(dir, true)
     }
 
     /// [`with_store`](SolveCache::with_store) without the finished-report
@@ -684,25 +621,16 @@ impl SolveCache {
     pub fn with_store_solve_only(
         dir: impl Into<std::path::PathBuf>,
     ) -> std::io::Result<SolveCache> {
-        SolveCache::with_store_configured(dir, cache_shards_from_env(), false)
-    }
-
-    /// [`with_store`](SolveCache::with_store) with an explicit shard count.
-    pub fn with_store_and_shards(
-        dir: impl Into<std::path::PathBuf>,
-        n: usize,
-    ) -> std::io::Result<SolveCache> {
-        SolveCache::with_store_configured(dir, n, true)
+        SolveCache::with_store_configured(dir, false)
     }
 
     fn with_store_configured(
         dir: impl Into<std::path::PathBuf>,
-        n: usize,
         reports_enabled: bool,
     ) -> std::io::Result<SolveCache> {
         let store = SolveStore::open(dir)?;
         let (entries, load_stats) = store.load()?;
-        let mut cache = SolveCache::with_shards(n);
+        let mut cache = SolveCache::new();
         let mut persisted = std::collections::HashSet::with_capacity(entries.len());
         for (key, solution) in entries {
             let cell: Arc<SolveCell> = Arc::default();
@@ -805,7 +733,7 @@ impl SolveCache {
     /// are never rewritten.  A no-op returning `appended: 0` for a store-less
     /// cache or when there is nothing new.  Also runs best-effort on drop, so
     /// a `with_store` session persists its misses even without an explicit
-    /// call — long-lived caches (e.g. [`global_solve_cache`]) should flush
+    /// call — long-lived caches (e.g. the `soap-serve` daemon's) should flush
     /// explicitly at session boundaries instead.
     pub fn flush_store(&self) -> std::io::Result<StoreFlushStats> {
         let Some(layer) = &self.store else {
@@ -1465,27 +1393,6 @@ mod tests {
         assert!(matches!(second, Err(AnalysisError::NoInputs(ref n)) if n == "second"));
         assert_eq!(cache.stats().misses, 1);
         assert_eq!(cache.stats().hits, 1);
-    }
-
-    #[test]
-    fn shard_override_parses_and_clamps() {
-        assert_eq!(parse_cache_shards("1"), Some(1));
-        assert_eq!(parse_cache_shards(" 8 "), Some(8));
-        // Non-powers of two clamp up to the next power of two.
-        assert_eq!(parse_cache_shards("3"), Some(4));
-        assert_eq!(parse_cache_shards("12"), Some(16));
-        // Absurd values cap at MAX_CACHE_SHARDS — including ones whose
-        // next_power_of_two would overflow usize.
-        assert_eq!(parse_cache_shards("1000000"), Some(MAX_CACHE_SHARDS));
-        assert_eq!(
-            parse_cache_shards("18446744073709551615"),
-            Some(MAX_CACHE_SHARDS)
-        );
-        // Invalid values are rejected, not guessed at.
-        assert_eq!(parse_cache_shards("0"), None);
-        assert_eq!(parse_cache_shards("-4"), None);
-        assert_eq!(parse_cache_shards("sixteen"), None);
-        assert_eq!(parse_cache_shards(""), None);
     }
 
     #[test]

@@ -114,7 +114,7 @@ impl FaultPlan {
 
 /// Parse a fault-plan string (`key=value` pairs, comma-separated).
 ///
-/// Strictly validated in the spirit of `parse_cache_shards`: any unknown
+/// Strictly validated in the spirit of `parse_timeout_ms`: any unknown
 /// key, malformed pair, duplicate key, or unparsable value rejects the whole
 /// plan (`None`), so a typo degrades to "no faults" loudly in tests rather
 /// than silently injecting a different plan.

@@ -1,10 +1,10 @@
-//! Criterion-free performance smoke test: the full SDG analysis of a
-//! 35-statement matmul chain (the paper's practical scaling limit) must
-//! finish well inside a generous wall-clock budget even in debug builds.
+//! Performance smoke test: the full SDG analysis of a 35-statement matmul
+//! chain (the paper's practical scaling limit) must finish well inside a
+//! generous wall-clock budget even in debug builds.
 //!
 //! This is a CI tripwire against gross regressions on the enumeration /
-//! merge / simplification hot paths, not a benchmark — the Criterion benches
-//! and the `soap-bench` `perf` binary produce the real numbers.
+//! merge / simplification hot paths, not a benchmark — the `soap-bench`
+//! `perf` binary and `perfbench/` produce the real numbers.
 
 use soap_sdg::{analyze_program_with, SdgOptions};
 use std::time::{Duration, Instant};

@@ -50,7 +50,7 @@
 
 use soap_sdg::{
     analyze_program_governed, canonical_program_hash, parse_timeout_ms, Claim, Deadline, InFlight,
-    ProgramAnalysis, SdgOptions, SolveCache,
+    SdgOptions, SolveCache,
 };
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -570,7 +570,7 @@ impl AnalysisService {
         }));
         match result {
             Ok(Ok(analysis)) => {
-                let tail = Arc::new(analysis_tail(&analysis));
+                let tail = Arc::new(object_tail(analysis.record_fields()));
                 if analysis.degraded {
                     // A degraded bound is sound but budget-shaped: memoizing
                     // it would freeze one request's deadline into every
@@ -786,52 +786,6 @@ fn object_tail(fields: Vec<(String, serde_json::Value)>) -> String {
     // lint:allow(unwrap-expect): the JSON value is a finite map of strings and numbers; serialization cannot fail
     let s = serde_json::to_string(&serde_json::Value::Object(fields)).expect("serializable");
     s[1..].to_string()
-}
-
-/// The success record for one analysis, minus the `program` field.  Layout
-/// mirrors `soap-cli batch` per-program records (bound, per-array ρ/σ, notes,
-/// degradation accounting) without the order/time-dependent fields — the tail
-/// is memoized, so it must be a pure function of program structure.
-fn analysis_tail(analysis: &ProgramAnalysis) -> String {
-    let mut fields: Vec<(String, serde_json::Value)> = vec![
-        ("ok".into(), serde_json::Value::Bool(true)),
-        (
-            "bound".into(),
-            serde_json::Value::Str(format!("{}", analysis.bound)),
-        ),
-        (
-            "per_array".into(),
-            serde_json::Value::Array(
-                analysis
-                    .per_array
-                    .iter()
-                    .map(|a| {
-                        serde_json::Value::Object(vec![
-                            ("array".into(), serde_json::Value::Str(a.array.clone())),
-                            ("rho".into(), serde_json::Value::Str(format!("{}", a.rho))),
-                            (
-                                "sigma".into(),
-                                serde_json::Value::Str(format!("{}", a.sigma)),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("notes".into(), serde_json::to_value(&analysis.notes)),
-    ];
-    if analysis.degraded {
-        fields.push(("degraded".into(), serde_json::Value::Bool(true)));
-        fields.push((
-            "subgraphs_cancelled".into(),
-            serde_json::to_value(&analysis.solver.cancelled),
-        ));
-        fields.push((
-            "arrays_deferred".into(),
-            serde_json::to_value(&analysis.arrays_deferred),
-        ));
-    }
-    object_tail(fields)
 }
 
 fn error_tail(message: &str) -> String {

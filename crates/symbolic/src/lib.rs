@@ -53,8 +53,8 @@ pub use rational::Rational;
 ///
 /// * the Theorem-1 intensity maximum in `soap-sdg` (a subgraph whose `ρ`
 ///   failed to evaluate can never win the maximum),
-/// * the timing-sample sorts of the `perf` binary and the criterion stand-in,
-///   where a single NaN sample must not panic a whole bench run — under this
+/// * the timing-sample sorts of the `perf` binary, where a single NaN
+///   sample must not panic a whole bench run — under this
 ///   order it sorts to the front, so it surfaces loudly as a NaN minimum in
 ///   the printed stats instead of aborting them.
 ///

@@ -84,9 +84,10 @@ fn bandwidth_bound_rows_match_the_paper() {
 #[test]
 fn all_rows_stay_within_the_documented_envelope() {
     // Kernels where this implementation is deliberately more conservative
-    // (documented in EXPERIMENTS.md: adi, durbin, deriche, floyd-warshall,
-    // syrk/syr2k, softmax, bert-encoder, lulesh) produce smaller — but still
-    // valid — bounds; nothing may blow up above ~2.5× of the paper value.
+    // (adi, durbin, deriche, floyd-warshall, syrk/syr2k, softmax,
+    // bert-encoder, lulesh; see the "Fidelity table" item in ROADMAP.md)
+    // produce smaller — but still valid — bounds; nothing may blow up above
+    // ~2.5× of the paper value.
     for entry in registry() {
         let ratio = derived_over_paper(entry.name);
         assert!(
