@@ -5,11 +5,11 @@
 //! cargo run --release -p soap-bench --bin perf -- [--out BENCH_PR1.json] [--quick]
 //! ```
 //!
-//! Unlike the Criterion benches (human-oriented, one-off timings) this binary
-//! emits one JSON object per hot path with median/min milliseconds over a
-//! fixed number of repetitions, plus the naive-vs-bitset subgraph-enumeration
-//! comparison that captures the before/after of the interning + bitset
-//! rewrite (the naive reference implements the seed's string-set algorithm).
+//! The binary emits one JSON object per hot path with median/min
+//! milliseconds over a fixed number of repetitions, plus the
+//! naive-vs-bitset subgraph-enumeration comparison that captures the
+//! before/after of the interning + bitset rewrite (the naive reference
+//! implements the seed's string-set algorithm).
 
 #![forbid(unsafe_code)]
 
@@ -21,7 +21,7 @@ use soap_bench::{analyze_kernel, suite_program, suite_summary_record};
 use soap_pebbling::{min_dominator_size, Cdag, VertexKind};
 use soap_sdg::subgraphs::{enumerate_connected_subgraphs, enumerate_connected_subgraphs_naive};
 use soap_sdg::{
-    analyze_program_with, analyze_suite, analyze_suite_with, set_worker_budget, worker_budget,
+    analyze_program_with_cache, analyze_suite_with, set_worker_budget, worker_budget,
     ProgramAnalysis, Sdg, SdgOptions, SolveCache, SuiteProgram,
 };
 use soap_symbolic::{reset_solver_counters, solver_counters, KKT_HISTOGRAM_EDGES};
@@ -145,7 +145,8 @@ fn main() {
     for k in [1usize, 4, 8, 16, 35] {
         let program = chain_of_matmuls(k);
         let (median, min) = time_ms(reps, || {
-            analyze_program_with(&program, &opts).expect("analysis succeeds");
+            analyze_program_with_cache(&program, &opts, &SolveCache::new())
+                .expect("analysis succeeds");
         });
         benches.push(record(&format!("sdg_scaling/{k}"), median, min));
     }
@@ -169,7 +170,8 @@ fn main() {
         let chain = chain_of_matmuls(35);
         let chain_opts = opts.clone();
         solver_stats.push(solver_stats_record("chain35", || {
-            analyze_program_with(&chain, &chain_opts).expect("analysis succeeds")
+            analyze_program_with_cache(&chain, &chain_opts, &SolveCache::new())
+                .expect("analysis succeeds")
         }));
         let registry = soap_kernels::registry();
         for name in ["bert-encoder", "lulesh"] {
@@ -191,15 +193,16 @@ fn main() {
         let jobs: Vec<SuiteProgram> = soap_kernels::registry().iter().map(suite_program).collect();
         let (seq_median, seq_min) = time_ms(reps, || {
             for job in &jobs {
-                analyze_program_with(&job.program, &job.opts).expect("analysis succeeds");
+                analyze_program_with_cache(&job.program, &job.opts, &SolveCache::new())
+                    .expect("analysis succeeds");
             }
         });
         benches.push(record("suite/registry_sequential", seq_median, seq_min));
         let (batch_median, batch_min) = time_ms(reps, || {
-            analyze_suite(&jobs);
+            analyze_suite_with(&jobs, &SolveCache::new());
         });
         benches.push(record("suite/registry_batch", batch_median, batch_min));
-        let batch = analyze_suite(&jobs);
+        let batch = analyze_suite_with(&jobs, &SolveCache::new());
         let s = &batch.summary;
         println!(
             "suite/registry cache: {} structures solved, {} hits ({} cross-program), {} uncacheable, speedup {:.2}x",
@@ -226,7 +229,7 @@ fn main() {
         for t in [1usize, 2, 4, 8] {
             set_worker_budget(t);
             let (median, min) = time_ms(reps, || {
-                analyze_suite(&jobs);
+                analyze_suite_with(&jobs, &SolveCache::new());
             });
             benches.push(record(&format!("thread_scaling/{t}"), median, min));
         }

@@ -20,7 +20,8 @@ use serde::Serialize;
 use soap_baselines::{loomis_whitney_bound, sota_bound};
 use soap_kernels::{registry, KernelEntry, KernelGroup};
 use soap_sdg::{
-    analyze_program_with, analyze_suite, ProgramAnalysis, SdgOptions, SuiteProgram, SuiteSummary,
+    analyze_program_with_cache, analyze_suite_with, ProgramAnalysis, SdgOptions, SolveCache,
+    SuiteProgram, SuiteSummary,
 };
 use std::collections::BTreeMap;
 
@@ -154,7 +155,7 @@ pub fn analyze_kernel(entry: &KernelEntry) -> ProgramAnalysis {
         assume_injective: entry.assume_injective,
         ..SdgOptions::default()
     };
-    analyze_program_with(&entry.program, &opts)
+    analyze_program_with_cache(&entry.program, &opts, &SolveCache::new())
         .unwrap_or_else(|e| panic!("analysis of {} failed: {e}", entry.name))
 }
 
@@ -218,7 +219,7 @@ pub fn table2_suite(group: Option<KernelGroup>) -> (Vec<Table2Row>, SuiteSummary
         .filter(|e| group.map(|g| e.group == g).unwrap_or(true))
         .collect();
     let jobs: Vec<SuiteProgram> = entries.iter().map(suite_program).collect();
-    let batch = analyze_suite(&jobs);
+    let batch = analyze_suite_with(&jobs, &SolveCache::new());
     let rows = entries
         .iter()
         .zip(&batch.reports)

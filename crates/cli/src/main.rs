@@ -369,9 +369,9 @@ fn positive_or_usage(flag: &str, raw: &str) -> usize {
 }
 
 /// `soap-cli batch`: resolve each spec to a program (built-in kernel name or
-/// `.c`/`.py` source file), run them through `analyze_suite` over one shared
-/// solve cache, and emit JSON-lines: one record per program, then one
-/// `{"suite": ...}` record with the shared-cache accounting.
+/// `.c`/`.py` source file), run them through `analyze_suite_governed` over
+/// one shared solve cache, and emit JSON-lines: one record per program,
+/// then one `{"suite": ...}` record with the shared-cache accounting.
 fn batch(args: &[String]) -> ExitCode {
     let mut specs: Vec<String> = Vec::new();
     let mut all = false;

@@ -27,8 +27,7 @@ pub mod projections;
 
 pub use analysis::{analyze_conditional, analyze_statement, AnalysisOptions, StatementAnalysis};
 pub use model::{
-    solve_model, solve_model_instrumented_governed, solve_model_precompiled_governed,
-    solve_model_reference, AccessModel, IntensityResult,
+    solve_model, solve_model_governed, solve_model_reference, AccessModel, IntensityResult,
 };
 
 /// Errors produced by the analysis.

@@ -86,43 +86,35 @@ impl IntensityResult {
 /// [`ConstrainedProduct::new`]; all three power-law probes and the tile-shape
 /// solve reuse the compiled arrays.
 pub fn solve_model(model: &AccessModel) -> Result<IntensityResult, AnalysisError> {
-    solve_model_impl(model, ProblemBuild::Compiled, None).0
+    solve_model_impl(model, ProblemBuild::Compiled, &Deadline::never()).0
 }
 
-/// [`solve_model`] under an optional [`Deadline`], plus the aggregated KKT
-/// accounting of all its probe solves — the cross-subgraph cache uses the
-/// accounting to surface iteration-budget exhaustion in `SolverSummary`.
-/// The KKT loops poll the deadline and the whole solve returns
+/// [`solve_model`] under a [`Deadline`], plus the aggregated KKT accounting
+/// of all its probe solves — the cross-subgraph cache uses the accounting to
+/// surface iteration-budget exhaustion in `SolverSummary`.  The KKT loops
+/// poll the deadline and the whole solve returns
 /// [`AnalysisError::Cancelled`] when the budget expires mid-solve.
-pub fn solve_model_instrumented_governed(
+///
+/// `precompiled` carries both sides already compiled (the solve cache
+/// compiles them for its canonical key); it skips the duplicate compilation
+/// of [`ConstrainedProduct::new`] but takes exactly the same numeric path.
+pub fn solve_model_governed(
     model: &AccessModel,
-    deadline: Option<&Deadline>,
+    precompiled: Option<(CompiledPosynomial, CompiledConstraint)>,
+    deadline: &Deadline,
 ) -> (Result<IntensityResult, AnalysisError>, SolveInfo) {
-    solve_model_impl(model, ProblemBuild::Compiled, deadline)
-}
-
-/// [`solve_model_instrumented_governed`] with both sides already compiled
-/// (the solve cache compiles them for its canonical key); skips the
-/// duplicate compilation of [`ConstrainedProduct::new`] but takes exactly
-/// the same numeric path.
-pub fn solve_model_precompiled_governed(
-    model: &AccessModel,
-    objective: CompiledPosynomial,
-    dominator: CompiledConstraint,
-    deadline: Option<&Deadline>,
-) -> (Result<IntensityResult, AnalysisError>, SolveInfo) {
-    solve_model_impl(
-        model,
-        ProblemBuild::Precompiled(Box::new((objective, dominator))),
-        deadline,
-    )
+    let build = match precompiled {
+        Some(compiled) => ProblemBuild::Precompiled(Box::new(compiled)),
+        None => ProblemBuild::Compiled,
+    };
+    solve_model_impl(model, build, deadline)
 }
 
 /// [`solve_model`] forced down the retained `Expr`-eval solver path
 /// (finite-difference gradients, bisection projection) — the differential
 /// baseline the compiled path is pinned against.
 pub fn solve_model_reference(model: &AccessModel) -> Result<IntensityResult, AnalysisError> {
-    solve_model_impl(model, ProblemBuild::Reference, None).0
+    solve_model_impl(model, ProblemBuild::Reference, &Deadline::never()).0
 }
 
 /// How [`solve_model_impl`] constructs its [`ConstrainedProduct`].
@@ -135,7 +127,7 @@ enum ProblemBuild {
 fn solve_model_impl(
     model: &AccessModel,
     build: ProblemBuild,
-    deadline: Option<&Deadline>,
+    deadline: &Deadline,
 ) -> (Result<IntensityResult, AnalysisError>, SolveInfo) {
     let mut info = SolveInfo::default();
     let result = solve_model_inner(model, build, &mut info, deadline);
@@ -151,7 +143,7 @@ fn solve_model_inner(
     model: &AccessModel,
     build: ProblemBuild,
     info: &mut SolveInfo,
-    deadline: Option<&Deadline>,
+    deadline: &Deadline,
 ) -> Result<IntensityResult, AnalysisError> {
     if model.tile_variables.is_empty() {
         return Err(AnalysisError::InvalidStatement(format!(
@@ -185,7 +177,7 @@ fn solve_model_inner(
         ),
     };
     let (mut law, fit_info, fit_extents) = problem
-        .fit_power_law_governed(deadline)
+        .fit_power_law(deadline)
         .map_err(|_| cancelled(model))?;
     info.absorb(fit_info);
     if !law.coeff.is_finite() || law.coeff <= 0.0 {
@@ -220,7 +212,7 @@ fn solve_model_inner(
     // lint:allow(unwrap-expect): POWER_LAW_PROBES is a non-empty const table
     let x_fit = *POWER_LAW_PROBES.last().expect("probes are non-empty");
     let (sol, probe_info) = problem
-        .solve_seeded_governed(x_probe, Some(&fit_extents), deadline)
+        .solve(x_probe, Some(&fit_extents), deadline)
         .map_err(|_| cancelled(model))?;
     info.absorb(probe_info);
     let mut tile_exponents = Vec::new();

@@ -259,36 +259,31 @@ impl ProgramAnalysis {
     }
 }
 
-/// Analyze a program with default options.
+/// Analyze a program with default options over a private [`SolveCache`].
 pub fn analyze_program(program: &Program) -> Result<ProgramAnalysis, AnalysisError> {
-    analyze_program_with(program, &SdgOptions::default())
+    analyze_program_with_cache(program, &SdgOptions::default(), &SolveCache::new())
 }
 
-/// Analyze a program: enumerate SDG subgraphs, solve each subgraph statement's
-/// intensity in parallel, and combine them with Theorem 1.
-pub fn analyze_program_with(
-    program: &Program,
-    opts: &SdgOptions,
-) -> Result<ProgramAnalysis, AnalysisError> {
-    analyze_program_with_cache(program, opts, &SolveCache::new())
-}
-
-/// [`analyze_program_with`] against a caller-provided (possibly shared)
-/// [`SolveCache`]: structures already solved by *other* programs through the
-/// same cache are answered without solving, and the returned
-/// [`SolverSummary`] accounts this analysis's traffic only (with
+/// Analyze a program: enumerate SDG subgraphs, solve each subgraph
+/// statement's intensity in parallel, and combine them with Theorem 1.
+///
+/// The [`SolveCache`] may be shared: structures already solved by *other*
+/// programs through the same cache are answered without solving, and the
+/// returned [`SolverSummary`] accounts this analysis's traffic only (with
 /// cross-program hits broken out).  Results are byte-identical to a run with
-/// a private cache — see the order-invariance notes on [`crate::cache`].
+/// a private cache (`&SolveCache::new()`) — see the order-invariance notes
+/// on [`crate::cache`].
 pub fn analyze_program_with_cache(
     program: &Program,
     opts: &SdgOptions,
     cache: &SolveCache,
 ) -> Result<ProgramAnalysis, AnalysisError> {
-    analyze_program_governed(program, opts, cache, None)
+    analyze_program_governed(program, opts, cache, &Deadline::never())
 }
 
-/// [`analyze_program_with_cache`] under a budget.  With no deadline (and no
-/// active fault plan) the output is byte-identical to the ungoverned path.
+/// [`analyze_program_with_cache`] under a budget.  With
+/// [`Deadline::never`] (and no active fault plan) the output is
+/// byte-identical to the ungoverned path.
 ///
 /// When the deadline expires — or the active [`crate::faults::FaultPlan`]
 /// trips a deterministic cancellation — the analysis abandons work only at
@@ -301,7 +296,7 @@ pub fn analyze_program_governed(
     program: &Program,
     opts: &SdgOptions,
     cache: &SolveCache,
-    deadline: Option<&Deadline>,
+    deadline: &Deadline,
 ) -> Result<ProgramAnalysis, AnalysisError> {
     program
         .validate()
@@ -361,7 +356,7 @@ pub fn analyze_program_governed(
     // subgraph runs under `catch_unwind`, so one panicking subgraph is
     // dropped like any other per-subgraph failure instead of tearing down
     // the whole program analysis.
-    let session = cache.session_governed(deadline.cloned());
+    let session = cache.session_governed(deadline.clone());
     let reference_s = opts.reference_s;
     let merge_ns = AtomicU64::new(0);
     let solve_call_ns = AtomicU64::new(0);
@@ -382,9 +377,7 @@ pub fn analyze_program_governed(
             // Cancellation commit point: the plan trip is a pure function of
             // the enumeration index (thread-independent), the wall-clock
             // check is best-effort.  Checked before any work is spent.
-            if plan.as_deref().is_some_and(|p| p.cancels_subgraph(index))
-                || deadline.is_some_and(|d| d.expired())
-            {
+            if plan.as_deref().is_some_and(|p| p.cancels_subgraph(index)) || deadline.expired() {
                 return Err(SubgraphFailure::Cancelled);
             }
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

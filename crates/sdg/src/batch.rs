@@ -8,18 +8,18 @@
 //! solves each structure once *per suite* instead of once per kernel:
 //! analyze the class, not the instance.
 //!
-//! [`analyze_suite`] runs a slice of [`SuiteProgram`]s through rayon over a
-//! shared sharded cache with per-program error isolation (one failing
+//! [`analyze_suite_with`] runs a slice of [`SuiteProgram`]s through rayon
+//! over a shared sharded cache with per-program error isolation (one failing
 //! program reports its error in its [`ProgramReport`]; the rest of the suite
 //! is unaffected) and returns a [`BatchAnalysis`]: per-program results and
 //! timings plus a [`SuiteSummary`] with suite-wide cache accounting in which
 //! cross-program hits are distinguishable from intra-program hits.
 //!
 //! Batch results are **byte-identical** to sequential per-program
-//! [`analyze_program_with`](crate::analyze_program_with) calls regardless of
-//! shard count, thread count, or program order: a cache miss solves the
-//! *canonical model* of the structure, never the requesting representative
-//! (see [`crate::cache`]).
+//! [`analyze_program_with_cache`](crate::analyze_program_with_cache) calls on
+//! private caches regardless of shard count, thread count, or program order:
+//! a cache miss solves the *canonical model* of the structure, never the
+//! requesting representative (see [`crate::cache`]).
 
 use crate::analysis::{
     analyze_program_governed, panic_message, PhaseTimings, ProgramAnalysis, SdgOptions,
@@ -161,15 +161,10 @@ impl BatchAnalysis {
     }
 }
 
-/// Analyze a suite of programs over a fresh shared [`SolveCache`].
-pub fn analyze_suite(jobs: &[SuiteProgram]) -> BatchAnalysis {
-    analyze_suite_with(jobs, &SolveCache::new())
-}
-
-/// Analyze a suite of programs over a caller-provided shared cache (e.g. one
-/// kept alive by a long-running service, so structures solved by *earlier*
-/// suites are reused too — or a cache opened with
-/// [`SolveCache::with_store`](crate::SolveCache::with_store), so structures
+/// Analyze a suite of programs over one shared cache: a fresh
+/// `&SolveCache::new()`, one kept alive by a long-running service (so
+/// structures solved by *earlier* suites are reused too), or one opened with
+/// [`SolveCache::with_store`](crate::SolveCache::with_store) (so structures
 /// solved by earlier *processes* are reused and new solves persist for later
 /// ones; remember to flush such a cache at session end).
 ///
@@ -203,18 +198,14 @@ pub fn analyze_suite_governed(
     program_budget: Option<Duration>,
     suite_budget: Option<Duration>,
 ) -> BatchAnalysis {
-    let suite_deadline = suite_budget.map(Deadline::after);
+    let suite_deadline = suite_budget.map_or_else(Deadline::never, Deadline::after);
     analyze_suite_inner(jobs, cache, &|job| {
-        let budget = match (
-            program_budget,
-            suite_deadline.as_ref().and_then(|d| d.remaining()),
-        ) {
-            (Some(p), Some(s)) => Some(p.min(s)),
-            (Some(p), None) => Some(p),
-            (None, s) => s,
-        };
-        let deadline = budget.map(Deadline::after);
-        analyze_program_governed(&job.program, &job.opts, cache, deadline.as_ref())
+        let budget = [program_budget, suite_deadline.remaining()]
+            .into_iter()
+            .flatten()
+            .min();
+        let deadline = budget.map_or_else(Deadline::never, Deadline::after);
+        analyze_program_governed(&job.program, &job.opts, cache, &deadline)
     })
 }
 
@@ -362,7 +353,7 @@ mod tests {
             SuiteProgram::with_default_opts(matmul("mm1", ["i", "j", "k"])),
             SuiteProgram::with_default_opts(matmul("mm2", ["p", "q", "r"])),
         ];
-        let batch = analyze_suite(&jobs);
+        let batch = analyze_suite_with(&jobs, &SolveCache::new());
         assert_eq!(batch.summary.programs, 2);
         assert_eq!(batch.summary.failures, 0);
         assert!(
@@ -380,7 +371,9 @@ mod tests {
         );
         // And the bounds are identical to standalone analyses.
         for (job, report) in jobs.iter().zip(&batch.reports) {
-            let standalone = crate::analyze_program_with(&job.program, &job.opts).unwrap();
+            let standalone =
+                crate::analyze_program_with_cache(&job.program, &job.opts, &SolveCache::new())
+                    .unwrap();
             let batched = report.outcome.as_ref().unwrap();
             assert_eq!(
                 format!("{}", standalone.bound),
@@ -400,7 +393,7 @@ mod tests {
             SuiteProgram::with_default_opts(matmul("mm", ["p", "q", "r"])),
             SuiteProgram::with_default_opts(literal),
         ];
-        let batch = analyze_suite(&jobs);
+        let batch = analyze_suite_with(&jobs, &SolveCache::new());
         let names: Vec<&str> = batch.reports.iter().map(|r| r.name.as_str()).collect();
         assert_eq!(names, vec!["mm", "mm#3", "mm#2"]);
         assert_eq!(batch.summary.duplicate_names, 1);
@@ -409,10 +402,13 @@ mod tests {
             assert!(batch.report(name).unwrap().outcome.is_ok(), "{name}");
         }
         // Unique names stay verbatim and report no duplicates.
-        let unique = analyze_suite(&[SuiteProgram::with_default_opts(matmul(
-            "only",
-            ["i", "j", "k"],
-        ))]);
+        let unique = analyze_suite_with(
+            &[SuiteProgram::with_default_opts(matmul(
+                "only",
+                ["i", "j", "k"],
+            ))],
+            &SolveCache::new(),
+        );
         assert_eq!(unique.summary.duplicate_names, 0);
         assert_eq!(unique.reports[0].name, "only");
     }
@@ -500,7 +496,7 @@ mod tests {
             SuiteProgram::with_default_opts(invalid),
             SuiteProgram::with_default_opts(matmul("ok2", ["p", "q", "r"])),
         ];
-        let batch = analyze_suite(&jobs);
+        let batch = analyze_suite_with(&jobs, &SolveCache::new());
         assert_eq!(batch.summary.programs, 3);
         assert_eq!(batch.summary.failures, 1);
         assert!(batch.report("ok").unwrap().outcome.is_ok());
@@ -517,7 +513,10 @@ mod tests {
             .statement(|st| st.loops(&[("i", "0", "N")]).write("Z", "0"))
             .build()
             .unwrap();
-        let batch = analyze_suite(&[SuiteProgram::with_default_opts(init_only)]);
+        let batch = analyze_suite_with(
+            &[SuiteProgram::with_default_opts(init_only)],
+            &SolveCache::new(),
+        );
         assert_eq!(batch.summary.failures, 0);
         let init = batch.report("init_only").unwrap().outcome.as_ref().unwrap();
         assert!(!init.notes.is_empty());
@@ -560,7 +559,7 @@ mod tests {
         let ungoverned = analyze_suite_governed(&jobs, &SolveCache::new(), None, None);
         assert_eq!(ungoverned.summary.degraded, 0);
         assert_eq!(ungoverned.summary.arrays_deferred, 0);
-        let baseline = analyze_suite(&jobs);
+        let baseline = analyze_suite_with(&jobs, &SolveCache::new());
         for (a, b) in ungoverned.reports.iter().zip(&baseline.reports) {
             assert_eq!(
                 format!("{}", a.outcome.as_ref().unwrap().bound),

@@ -51,10 +51,7 @@
 //! cold ones.
 
 use crate::store::{SolveStore, StoreFlushStats, StoreLoadStats, StoredReport};
-use soap_core::{
-    solve_model_instrumented_governed, solve_model_precompiled_governed, AccessModel,
-    AnalysisError, IntensityResult,
-};
+use soap_core::{solve_model_governed, AccessModel, AnalysisError, IntensityResult};
 use soap_symbolic::{
     CompiledConstraint, CompiledPosynomial, Deadline, Expr, MaxPosynomial, Rational,
 };
@@ -549,10 +546,11 @@ pub struct CacheSession<'a> {
     cache: &'a SolveCache,
     scope: u64,
     local: CacheCounters,
-    /// The deadline governing every solve of this session, when opened with
-    /// [`SolveCache::session_governed`].  A solve cancelled by it returns
-    /// [`AnalysisError::Cancelled`] and leaves no trace in the cache.
-    deadline: Option<Deadline>,
+    /// The deadline governing every solve of this session ([`Deadline::never`]
+    /// unless opened with [`SolveCache::session_governed`]).  A solve
+    /// cancelled by it returns [`AnalysisError::Cancelled`] and leaves no
+    /// trace in the cache.
+    deadline: Deadline,
 }
 
 impl CacheSession<'_> {
@@ -560,7 +558,7 @@ impl CacheSession<'_> {
     /// outcome to both the cache and this session.
     pub fn solve(&self, model: &AccessModel) -> Result<IntensityResult, AnalysisError> {
         self.cache
-            .solve_scoped(model, self.scope, Some(&self.local), self.deadline.as_ref())
+            .solve_scoped(model, self.scope, Some(&self.local), &self.deadline)
     }
 
     /// This session's traffic only (not the whole cache's).
@@ -840,15 +838,15 @@ impl SolveCache {
     /// a hit on an entry first inserted by a different session counts as
     /// cross-program.
     pub fn session(&self) -> CacheSession<'_> {
-        self.session_governed(None)
+        self.session_governed(Deadline::never())
     }
 
-    /// [`SolveCache::session`] under an optional [`Deadline`]: every solve of
+    /// [`SolveCache::session`] under a [`Deadline`]: every solve of
     /// the session polls the deadline inside its KKT loops and returns
     /// [`AnalysisError::Cancelled`] when it expires mid-solve.  A cancelled
     /// solve is never cached and never persisted — the entry is unmapped so
     /// later requesters (with fresh budgets) retry it cleanly.
-    pub fn session_governed(&self, deadline: Option<Deadline>) -> CacheSession<'_> {
+    pub fn session_governed(&self, deadline: Deadline) -> CacheSession<'_> {
         CacheSession {
             cache: self,
             scope: self.scopes.fetch_add(1, Ordering::Relaxed) + 1,
@@ -861,7 +859,7 @@ impl SolveCache {
     /// (scope-less convenience for single-program use; see
     /// [`SolveCache::session`] for batch use).
     pub fn solve(&self, model: &AccessModel) -> Result<IntensityResult, AnalysisError> {
-        self.solve_scoped(model, 0, None, None)
+        self.solve_scoped(model, 0, None, &Deadline::never())
     }
 
     /// Snapshot the cache-wide counters (every session's traffic combined).
@@ -899,13 +897,13 @@ impl SolveCache {
         model: &AccessModel,
         scope: u64,
         local: Option<&CacheCounters>,
-        deadline: Option<&Deadline>,
+        deadline: &Deadline,
     ) -> Result<IntensityResult, AnalysisError> {
         let Some(canon) = canonicalize(model) else {
             self.bump(local, |c| &c.uncacheable, 1);
             // lint:allow(instant-now): solve timing is perf metadata on the report; bound computation never depends on it
             let solve_start = std::time::Instant::now();
-            let (solved, info) = solve_model_instrumented_governed(model, deadline);
+            let (solved, info) = solve_model_governed(model, None, deadline);
             self.bump(local, |c| &c.solve_ns, elapsed_ns(solve_start));
             self.bump(local, |c| &c.kkt_cap_hits, u64::from(info.cap_hits));
             return solved;
@@ -950,14 +948,9 @@ impl SolveCache {
                 // lint:allow(instant-now): solve timing is perf metadata on the report; bound computation never depends on it
                 let solve_start = std::time::Instant::now();
                 let canonical_model = canonical_access_model(&key);
-                let (compiled_objective, compiled_dominator) = canonical_compiled_forms(&key);
+                let compiled = canonical_compiled_forms(&key);
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    solve_model_precompiled_governed(
-                        &canonical_model,
-                        compiled_objective,
-                        compiled_dominator,
-                        deadline,
-                    )
+                    solve_model_governed(&canonical_model, Some(compiled), deadline)
                 }));
                 solve_ns = elapsed_ns(solve_start);
                 match outcome {
@@ -1025,7 +1018,7 @@ impl SolveCache {
                 // in `analysis` accounts it exactly like an uncached panic.
                 std::panic::resume_unwind(Box::new(msg));
             }
-            if solved_here || deadline.is_some_and(|d| d.expired()) {
+            if solved_here || deadline.expired() {
                 // Our own budget is gone (we were the cancelled initializer,
                 // or a waiter whose deadline expired while waiting).
                 return instantiate(cached.clone(), model, &order);
@@ -1469,7 +1462,7 @@ mod tests {
         expired.cancel();
         // The governed session's solve is cancelled at the cache's init
         // commit point...
-        let session = cache.session_governed(Some(expired));
+        let session = cache.session_governed(expired);
         let err = session.solve(&mmm_model("governed", ["i", "j", "k"]));
         assert!(
             matches!(err, Err(AnalysisError::Cancelled(_))),
@@ -1494,7 +1487,7 @@ mod tests {
             let cache = SolveCache::with_store(&dir).unwrap();
             let expired = Deadline::never();
             expired.cancel();
-            let session = cache.session_governed(Some(expired));
+            let session = cache.session_governed(expired);
             assert!(matches!(
                 session.solve(&mmm_model("cancelled", ["i", "j", "k"])),
                 Err(AnalysisError::Cancelled(_))
@@ -1510,7 +1503,8 @@ mod tests {
     #[test]
     fn governed_session_with_a_live_deadline_matches_ungoverned_output() {
         let governed_cache = SolveCache::new();
-        let session = governed_cache.session_governed(Some(Deadline::never()));
+        let session =
+            governed_cache.session_governed(Deadline::after(std::time::Duration::from_secs(3600)));
         let governed = session.solve(&mmm_model("m", ["i", "j", "k"])).unwrap();
         drop(session);
         let direct = solve_model(&mmm_model("m", ["i", "j", "k"])).unwrap();

@@ -44,16 +44,16 @@ pub mod store;
 pub mod subgraphs;
 
 pub use analysis::{
-    analyze_program, analyze_program_governed, analyze_program_with, analyze_program_with_cache,
-    ArrayBound, PhaseTimings, ProgramAnalysis, SdgOptions, SolverSummary,
+    analyze_program, analyze_program_governed, analyze_program_with_cache, ArrayBound,
+    PhaseTimings, ProgramAnalysis, SdgOptions, SolverSummary,
 };
 pub use faults::{active_plan, override_plan, parse_fault_plan, FaultPlan, PlanOverrideGuard};
 pub use soap_symbolic::Deadline;
 // The worker-pool controls live in the vendored `rayon` stand-in; re-export
 // them so CLI/bench/test crates configure threading through one front door.
 pub use batch::{
-    analyze_suite, analyze_suite_governed, analyze_suite_with, parse_timeout_ms, BatchAnalysis,
-    ProgramReport, SuiteProgram, SuiteSummary,
+    analyze_suite_governed, analyze_suite_with, parse_timeout_ms, BatchAnalysis, ProgramReport,
+    SuiteProgram, SuiteSummary,
 };
 pub use cache::{
     canonicalize, CacheSession, CacheStats, CanonicalKey, SolveCache, DEFAULT_CACHE_SHARDS,

@@ -103,6 +103,12 @@ const REPORT_FAMILY: Family = Family {
     stem: "soap-report-store/",
 };
 
+/// Every record family of a store directory.
+const FAMILIES: [&Family; 2] = [&SOLVE_FAMILY, &REPORT_FAMILY];
+
+/// Prefix of a segment's staging name while it is being written.
+const TMP_PREFIX: &str = ".tmp-";
+
 /// Suffix appended to a segment's file name when it is quarantined.
 const QUARANTINE_SUFFIX: &str = ".quarantined";
 
@@ -152,7 +158,9 @@ fn corrupt_first_record(text: &str) -> String {
     for (i, line) in text.lines().enumerate() {
         if i > 0 && !corrupted && line.len() > 16 {
             out.push_str("faultfaultfaultt");
-            out.push_str(&line[16..]);
+            // `get`, not a slice: a hand-edited line may put a multibyte
+            // character across byte 16.
+            out.push_str(line.get(16..).unwrap_or_default());
             corrupted = true;
         } else {
             out.push_str(line);
@@ -515,7 +523,7 @@ impl SolveStore {
             std::process::id(),
             SEGMENT_SEQ.fetch_add(1, Ordering::Relaxed)
         );
-        let tmp = self.dir.join(format!(".tmp-{name}"));
+        let tmp = self.dir.join(format!("{TMP_PREFIX}{name}"));
         let path = self.dir.join(&name);
         // Deterministic record order within a segment (callers often walk a
         // HashMap, whose order is arbitrary): sort the encoded lines.  Record
@@ -544,27 +552,28 @@ impl SolveStore {
         Ok(path)
     }
 
-    /// Delete all segment files of both record families (plus stale temp
+    /// Delete all segment files of every record family (plus stale temp
     /// files and quarantined segments).  Returns how many segments were
     /// removed.  The directory itself is kept.
     pub fn clear(&self) -> io::Result<usize> {
         let mut removed = 0usize;
-        for path in self
-            .segment_files()?
-            .into_iter()
-            .chain(self.report_files()?)
-            .chain(self.quarantined_files()?)
-            .chain(self.report_quarantined_files()?)
-        {
-            std::fs::remove_file(&path)?;
-            removed += 1;
+        for family in FAMILIES {
+            for path in self
+                .family_files(family.prefix)?
+                .into_iter()
+                .chain(self.quarantined_family_files(family.prefix)?)
+            {
+                std::fs::remove_file(&path)?;
+                removed += 1;
+            }
         }
         for entry in std::fs::read_dir(&self.dir)?.filter_map(|e| e.ok()) {
             let p = entry.path();
             let is_tmp = p
                 .file_name()
                 .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with(".tmp-seg-") || n.starts_with(".tmp-rpt-"));
+                .and_then(|n| n.strip_prefix(TMP_PREFIX))
+                .is_some_and(|n| FAMILIES.iter().any(|f| n.starts_with(f.prefix)));
             if is_tmp {
                 std::fs::remove_file(&p)?;
             }
@@ -596,28 +605,39 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Encode one record line (without the trailing newline).
-pub(crate) fn encode_record(
-    key: &CanonicalKey,
-    sol: &Result<CanonicalSolution, AnalysisError>,
-) -> String {
-    let payload = Value::Object(vec![
-        ("key".to_string(), key_to_value(key)),
-        ("sol".to_string(), solution_to_value(sol)),
-    ]);
+/// Frame a record payload as one line (without the trailing newline):
+/// `<16-hex fnv1a-64 of the JSON> <JSON>`.
+fn frame(payload: &Value) -> String {
     // lint:allow(unwrap-expect): record payloads are plain maps of strings and numbers; serialization cannot fail
-    let json = serde_json::to_string(&payload).expect("record serializes");
+    let json = serde_json::to_string(payload).expect("record serializes");
     format!("{:016x} {json}", fnv1a64(json.as_bytes()))
 }
 
-/// Decode one record line; `None` on any integrity or shape failure.
-pub(crate) fn decode_record(line: &str) -> Option<StoreEntry> {
+/// The payload of one framed line; `None` when the digest is malformed or
+/// does not match, or the JSON does not parse.
+fn unframe(line: &str) -> Option<Value> {
     let (digest, json) = line.split_once(' ')?;
     let expected = u64::from_str_radix(digest, 16).ok()?;
     if digest.len() != 16 || fnv1a64(json.as_bytes()) != expected {
         return None;
     }
-    let payload: Value = serde_json::from_str(json).ok()?;
+    serde_json::from_str(json).ok()
+}
+
+/// Encode one record line (without the trailing newline).
+pub(crate) fn encode_record(
+    key: &CanonicalKey,
+    sol: &Result<CanonicalSolution, AnalysisError>,
+) -> String {
+    frame(&Value::Object(vec![
+        ("key".to_string(), key_to_value(key)),
+        ("sol".to_string(), solution_to_value(sol)),
+    ]))
+}
+
+/// Decode one record line; `None` on any integrity or shape failure.
+pub(crate) fn decode_record(line: &str) -> Option<StoreEntry> {
+    let payload = unframe(line)?;
     let key = key_from_value(payload.get("key")?).ok()?;
     let sol = solution_from_value(payload.get("sol")?).ok()?;
     Some((key, sol))
@@ -908,23 +928,15 @@ fn solution_from_value(v: &Value) -> Result<Result<CanonicalSolution, AnalysisEr
 
 /// Encode a report-record line (without the trailing newline).
 pub(crate) fn encode_report_record(key: u64, report: &StoredReport) -> String {
-    let payload = Value::Object(vec![
+    frame(&Value::Object(vec![
         ("key".to_string(), Value::Int(i128::from(key))),
         ("report".to_string(), report_to_value(report)),
-    ]);
-    // lint:allow(unwrap-expect): record payloads are plain maps of strings and numbers; serialization cannot fail
-    let json = serde_json::to_string(&payload).expect("report record serializes");
-    format!("{:016x} {json}", fnv1a64(json.as_bytes()))
+    ]))
 }
 
 /// Decode one report-record line; `None` on any integrity or shape failure.
 pub(crate) fn decode_report_record(line: &str) -> Option<ReportEntry> {
-    let (digest, json) = line.split_once(' ')?;
-    let expected = u64::from_str_radix(digest, 16).ok()?;
-    if digest.len() != 16 || fnv1a64(json.as_bytes()) != expected {
-        return None;
-    }
-    let payload: Value = serde_json::from_str(json).ok()?;
+    let payload = unframe(line)?;
     let key = payload
         .get("key")?
         .as_i128()
@@ -1239,6 +1251,20 @@ mod tests {
         assert!(decode_record("nonsense").is_none());
     }
 
+    #[test]
+    fn corrupting_a_multibyte_line_does_not_panic() {
+        // A hand-edited record whose byte 16 falls inside `€` (bytes 15..18).
+        let corrupted = corrupt_first_record(&format!("{STORE_HEADER}\n0123456789abcde€ x\n"));
+        let record = corrupted.lines().nth(1).unwrap();
+        assert!(record.starts_with("faultfaultfaultt"), "{record}");
+        assert!(decode_record(record).is_none());
+        // An ASCII record keeps the exact 16-byte digest replacement.
+        let line = encode_record(&sample_key(false), &Ok(sample_solution()));
+        let corrupted = corrupt_first_record(&format!("{STORE_HEADER}\n{line}\n"));
+        let expected = format!("faultfaultfaultt{}", &line[16..]);
+        assert_eq!(corrupted.lines().nth(1), Some(expected.as_str()));
+    }
+
     fn sample_report() -> StoredReport {
         let s = sample_solution();
         let intensity = IntensityResult {
@@ -1353,8 +1379,12 @@ mod tests {
         assert_eq!(store.segment_files().unwrap().len(), 2);
         let stats = store.stat().unwrap();
         assert_eq!((stats.segments, stats.records, stats.entries), (2, 2, 1));
+        // A crashed writer's staged report segment is swept too (not counted).
+        let stale_tmp = dir.join(".tmp-rpt-00000000000000000001-1-0000.soapstore");
+        std::fs::write(&stale_tmp, REPORT_HEADER).unwrap();
         assert_eq!(store.clear().unwrap(), 2);
         assert!(store.segment_files().unwrap().is_empty());
+        assert!(!stale_tmp.exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

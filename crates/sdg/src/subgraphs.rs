@@ -77,7 +77,7 @@ pub fn enumerate_connected_subgraphs(
     max_size: usize,
     max_count: usize,
 ) -> SubgraphEnumeration {
-    enumerate_connected_subgraphs_governed(sdg, max_size, max_count, None, None)
+    enumerate_connected_subgraphs_governed(sdg, max_size, max_count, &Deadline::never(), None)
 }
 
 /// [`enumerate_connected_subgraphs`] under a budget: the deadline (and the
@@ -90,7 +90,7 @@ pub fn enumerate_connected_subgraphs_governed(
     sdg: &Sdg,
     max_size: usize,
     max_count: usize,
-    deadline: Option<&Deadline>,
+    deadline: &Deadline,
     level_cap: Option<usize>,
 ) -> SubgraphEnumeration {
     let n = sdg.computed.len();
@@ -112,7 +112,7 @@ pub fn enumerate_connected_subgraphs_governed(
         // Budget check at the level boundary: stopping here keeps the output
         // an exact serial prefix (whole levels only), so a plan-driven level
         // cap gives byte-identical degraded results for any thread count.
-        if level_cap.is_some_and(|cap| size >= cap) || deadline.is_some_and(|d| d.expired()) {
+        if level_cap.is_some_and(|cap| size >= cap) || deadline.expired() {
             deadline_truncated = true;
             break;
         }
@@ -339,11 +339,12 @@ mod tests {
         let sdg = chain(5);
         let full = enumerate_connected_subgraphs(&sdg, 3, 10_000);
         assert!(!full.deadline_truncated);
-        let capped = enumerate_connected_subgraphs_governed(&sdg, 3, 10_000, None, Some(2));
+        let never = Deadline::never();
+        let capped = enumerate_connected_subgraphs_governed(&sdg, 3, 10_000, &never, Some(2));
         assert!(capped.deadline_truncated);
         // cancel_at_level=2 keeps only the singletons — an exact serial prefix.
         assert_eq!(capped.subgraphs, full.subgraphs[..5].to_vec());
-        let cap3 = enumerate_connected_subgraphs_governed(&sdg, 3, 10_000, None, Some(3));
+        let cap3 = enumerate_connected_subgraphs_governed(&sdg, 3, 10_000, &never, Some(3));
         assert!(cap3.deadline_truncated);
         assert_eq!(cap3.subgraphs, full.subgraphs[..9].to_vec());
     }
@@ -353,12 +354,12 @@ mod tests {
         let sdg = chain(5);
         let expired = Deadline::never();
         expired.cancel();
-        let got = enumerate_connected_subgraphs_governed(&sdg, 3, 10_000, Some(&expired), None);
+        let got = enumerate_connected_subgraphs_governed(&sdg, 3, 10_000, &expired, None);
         assert!(got.deadline_truncated);
         assert_eq!(got.subgraphs.len(), 5, "singletons always survive");
-        let live = Deadline::never();
+        let live = Deadline::after(std::time::Duration::from_secs(3600));
         let ungoverned = enumerate_connected_subgraphs(&sdg, 3, 10_000);
-        let governed = enumerate_connected_subgraphs_governed(&sdg, 3, 10_000, Some(&live), None);
+        let governed = enumerate_connected_subgraphs_governed(&sdg, 3, 10_000, &live, None);
         assert!(!governed.deadline_truncated);
         assert_eq!(governed.subgraphs, ungoverned.subgraphs);
     }

@@ -1,15 +1,18 @@
-//! Differential tests for the cross-program batch engine: `analyze_suite`
-//! over the full 38-kernel registry must produce **byte-identical**
-//! `ProgramAnalysis` output to sequential per-program `analyze_program_with`
-//! calls — under shard counts {1, 4, 16} and with the programs in reversed
-//! order — while actually deduplicating structures across programs.
+//! Differential tests for the cross-program batch engine:
+//! `analyze_suite_with` over the full 38-kernel registry must produce
+//! **byte-identical** `ProgramAnalysis` output to sequential per-program
+//! `analyze_program_with_cache` calls on private caches — under shard
+//! counts {1, 4, 16} and with the programs in reversed order — while
+//! actually deduplicating structures across programs.
 //!
 //! "Byte-identical" includes the *unsnapped* floats (`chi_coeff`,
 //! `tile_coeffs`, `rho_ref`), compared bit-for-bit: the cache solves the
 //! canonical model of every structure, so which program triggers the first
 //! solve must not leak into any output.
 
-use soap_sdg::{analyze_program_with, analyze_suite_with, SdgOptions, SolveCache, SuiteProgram};
+use soap_sdg::{
+    analyze_program_with_cache, analyze_suite_with, SdgOptions, SolveCache, SuiteProgram,
+};
 use std::fmt::Write as _;
 
 /// The Table-2 analysis options of a registry entry.
@@ -71,7 +74,7 @@ fn batch_registry_is_byte_identical_to_sequential_per_program_analysis() {
     let baseline: Vec<String> = jobs
         .iter()
         .map(|job| {
-            let analysis = analyze_program_with(&job.program, &job.opts)
+            let analysis = analyze_program_with_cache(&job.program, &job.opts, &SolveCache::new())
                 .unwrap_or_else(|e| panic!("{}: {e}", job.name));
             dump(&analysis)
         })

@@ -10,7 +10,7 @@
 use soap_core::{solve_model, solve_model_reference, AnalysisOptions};
 use soap_ir::{Program, ProgramBuilder};
 use soap_sdg::subgraphs::enumerate_connected_subgraphs;
-use soap_sdg::{analyze_program_with, merged_model, Sdg, SdgOptions};
+use soap_sdg::{analyze_program_with_cache, merged_model, Sdg, SdgOptions, SolveCache};
 
 #[path = "common/fixtures.rs"]
 mod fixtures;
@@ -162,9 +162,11 @@ fn analysis_bound_is_deterministic_under_the_cache() {
             max_subgraphs: 512,
             ..SdgOptions::default()
         };
-        let first = analyze_program_with(&program, &opts).expect("analysis succeeds");
+        let first = analyze_program_with_cache(&program, &opts, &SolveCache::new())
+            .expect("analysis succeeds");
         for _ in 0..3 {
-            let again = analyze_program_with(&program, &opts).expect("analysis succeeds");
+            let again = analyze_program_with_cache(&program, &opts, &SolveCache::new())
+                .expect("analysis succeeds");
             assert_eq!(
                 format!("{}", first.bound),
                 format!("{}", again.bound),
@@ -196,7 +198,8 @@ fn chain_cache_collapses_isomorphic_models() {
         max_subgraphs: 512,
         ..SdgOptions::default()
     };
-    let analysis = analyze_program_with(&program, &opts).expect("analysis succeeds");
+    let analysis =
+        analyze_program_with_cache(&program, &opts, &SolveCache::new()).expect("analysis succeeds");
     let s = analysis.solver;
     assert_eq!(s.subgraphs_enumerated, 102);
     assert!(
@@ -219,7 +222,8 @@ fn chain_cache_collapses_isomorphic_models() {
 #[test]
 fn union_chain_max_models_hit_the_cache() {
     let program = union_chain(12);
-    let analysis = analyze_program_with(&program, &SdgOptions::default()).expect("analysis");
+    let analysis = analyze_program_with_cache(&program, &SdgOptions::default(), &SolveCache::new())
+        .expect("analysis");
     let s = analysis.solver;
     assert_eq!(s.uncacheable, 0, "max models must be cacheable now");
     assert!(
@@ -248,7 +252,8 @@ fn no_fixture_program_hits_the_kkt_cap() {
         union_chain(6),
     ] {
         let analysis =
-            analyze_program_with(&program, &SdgOptions::default()).expect("analysis succeeds");
+            analyze_program_with_cache(&program, &SdgOptions::default(), &SolveCache::new())
+                .expect("analysis succeeds");
         assert_eq!(
             analysis.solver.kkt_cap_hits, 0,
             "{}: solves exhausted the iteration budget",

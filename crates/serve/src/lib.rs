@@ -505,7 +505,7 @@ impl AnalysisService {
                     // Deadline starts here: time spent waiting in the
                     // admission queue is time the caller is waiting, so it
                     // counts against the budget.
-                    let deadline = timeout.map(Deadline::after);
+                    let deadline = timeout.map_or_else(Deadline::never, Deadline::after);
                     let permit = match self.gate.admit() {
                         Ok(permit) => permit,
                         Err(queued) => {
@@ -524,7 +524,7 @@ impl AnalysisService {
                             );
                         }
                     };
-                    let outcome = self.run_analysis(key, &program, injective, deadline.as_ref());
+                    let outcome = self.run_analysis(key, &program, injective, &deadline);
                     drop(permit);
                     guard.complete(outcome.clone());
                     return spliced_response(
@@ -558,7 +558,7 @@ impl AnalysisService {
         key: u64,
         program: &soap_ir::Program,
         injective: bool,
-        deadline: Option<&Deadline>,
+        deadline: &Deadline,
     ) -> Outcome {
         self.counters.analyses.fetch_add(1, Ordering::Relaxed);
         let opts = SdgOptions {

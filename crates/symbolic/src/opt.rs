@@ -276,8 +276,8 @@ pub struct PowerLaw {
     pub exponent: Rational,
 }
 
-/// Per-call accounting returned by the instrumented solver entry points,
-/// aggregated over one or more KKT solves.
+/// Per-call accounting returned by the solver entry points, aggregated over
+/// one or more KKT solves.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolveInfo {
     /// KKT solves performed.
@@ -423,7 +423,9 @@ impl ConstrainedProduct {
     }
 
     /// Solve `max objective s.t. constraint ≤ x, D_t ≥ 1` with a damped
-    /// multiplicative KKT fixed point.
+    /// multiplicative KKT fixed point, returning the optimum plus per-call
+    /// accounting (iteration count, whether the iteration budget was
+    /// exhausted, whether the constraint is in max-posynomial form).
     ///
     /// At an interior optimum the KKT conditions require the per-variable
     /// "benefit/cost" ratios `(D_t ∂χ/∂D_t) / (D_t ∂g/∂D_t)` to be equal; the
@@ -433,46 +435,25 @@ impl ConstrainedProduct {
     /// Dispatches to the compiled-posynomial fast path (analytic gradients,
     /// Newton constraint projection) when compilation succeeded at
     /// construction; the `Expr`-eval reference path otherwise.
-    pub fn solve(&self, x: f64) -> ProductSolution {
-        self.solve_instrumented(x).0
-    }
-
-    /// [`Self::solve`] plus per-call accounting: iteration count, whether the
-    /// iteration budget was exhausted, and whether the constraint is in
-    /// max-posynomial form.  The cross-subgraph cache uses this to surface
-    /// non-convergence in `SolverSummary` instead of silently returning the
-    /// last iterate.
-    pub fn solve_instrumented(&self, x: f64) -> (ProductSolution, SolveInfo) {
-        self.solve_seeded_instrumented(x, None)
-    }
-
-    /// [`Self::solve_instrumented`] with a warm-start shape: the iteration
-    /// begins from `warm` (projected back onto the constraint) instead of the
-    /// symmetric cold start.  The power-law probes and the tile-shape solve
-    /// are the same problem at different `X`, so continuing from the previous
-    /// optimum removes almost all travel — and keeps every probe in the same
-    /// basin, which a multi-extremal objective does not guarantee for
-    /// independent cold starts.
-    pub fn solve_seeded_instrumented(
+    ///
+    /// `warm` is a warm-start shape: the iteration begins from it (projected
+    /// back onto the constraint) instead of the symmetric cold start.  The
+    /// power-law probes and the tile-shape solve are the same problem at
+    /// different `X`, so continuing from the previous optimum removes almost
+    /// all travel — and keeps every probe in the same basin, which a
+    /// multi-extremal objective does not guarantee for independent cold
+    /// starts.
+    ///
+    /// The KKT loop polls `deadline` every few iterations and returns
+    /// [`Expired`] instead of an iterate when the budget is gone
+    /// (ungoverned callers pass [`Deadline::never`]).  An expired solve
+    /// records nothing into the process-wide histogram — it is not a solve,
+    /// capped or otherwise, just abandoned work.
+    pub fn solve(
         &self,
         x: f64,
         warm: Option<&[f64]>,
-    ) -> (ProductSolution, SolveInfo) {
-        self.solve_seeded_governed(x, warm, None)
-            // lint:allow(unwrap-expect): Deadline::none() never expires; this solve is explicitly ungoverned
-            .expect("ungoverned solve cannot expire")
-    }
-
-    /// [`Self::solve_seeded_instrumented`] under a [`Deadline`]: the KKT loop
-    /// polls the deadline every few iterations and returns [`Expired`] instead
-    /// of an iterate when the budget is gone.  An expired solve records
-    /// nothing into the process-wide histogram — it is not a solve, capped or
-    /// otherwise, just abandoned work.
-    pub fn solve_seeded_governed(
-        &self,
-        x: f64,
-        warm: Option<&[f64]>,
-        deadline: Option<&Deadline>,
+        deadline: &Deadline,
     ) -> Result<(ProductSolution, SolveInfo), Expired> {
         SOLVES.fetch_add(1, Ordering::Relaxed);
         let max_form = self
@@ -525,20 +506,17 @@ impl ConstrainedProduct {
     /// their snapped outputs stay byte-identical; everything numeric under
     /// that policy (evaluation, gradients, projection) is computed by
     /// entirely different machinery.
-    pub fn solve_reference(&self, x: f64) -> ProductSolution {
-        let (sol, iterations, capped) = self
-            .solve_reference_impl(x, None, None)
-            // lint:allow(unwrap-expect): Deadline::none() never expires; this solve is explicitly ungoverned
-            .expect("ungoverned solve cannot expire");
+    pub fn solve_reference(&self, x: f64, deadline: &Deadline) -> Result<ProductSolution, Expired> {
+        let (sol, iterations, capped) = self.solve_reference_impl(x, None, deadline)?;
         record_solve(iterations, capped);
-        sol
+        Ok(sol)
     }
 
     fn solve_reference_impl(
         &self,
         x: f64,
         warm: Option<&[f64]>,
-        deadline: Option<&Deadline>,
+        deadline: &Deadline,
     ) -> Result<(ProductSolution, u64, bool), Expired> {
         let n = self.variables.len();
         assert!(n > 0, "constrained product needs at least one variable");
@@ -566,7 +544,7 @@ impl ConstrainedProduct {
         let mut prev_dev = vec![0.0f64; n];
         let mut best_improved_iter = 0usize;
         for iter in 0..KKT_ITERATION_CAP {
-            if iter & DEADLINE_POLL_MASK == 0 && deadline.is_some_and(|d| d.expired()) {
+            if iter & DEADLINE_POLL_MASK == 0 && deadline.expired() {
                 return Err(Expired);
             }
             iters_done += 1;
@@ -664,7 +642,7 @@ impl ConstrainedProduct {
         c: &CompiledProblem,
         x: f64,
         warm: Option<&[f64]>,
-        deadline: Option<&Deadline>,
+        deadline: &Deadline,
     ) -> Result<(ProductSolution, u64, bool), Expired> {
         let n = self.variables.len();
         assert!(n > 0, "constrained product needs at least one variable");
@@ -714,7 +692,7 @@ impl ConstrainedProduct {
         c.constraint.mark_occurring_vars(&mut in_constraint);
         let debug = std::env::var("SOAP_DEBUG_KKT").is_ok();
         for iter in 0..KKT_ITERATION_CAP {
-            if iter & DEADLINE_POLL_MASK == 0 && deadline.is_some_and(|d| d.expired()) {
+            if iter & DEADLINE_POLL_MASK == 0 && deadline.expired() {
                 return Err(Expired);
             }
             iters_done += 1;
@@ -848,40 +826,29 @@ impl ConstrainedProduct {
         Ok((sol, iters_done, !converged))
     }
 
-    /// Fit `χ(X) = c·X^σ` by solving at several large `X` values.
+    /// Fit `χ(X) = c·X^σ` by solving at several large `X` values, returning
+    /// the law plus the aggregated accounting of its probe solves and the
+    /// final probe's optimal extents (callers reuse them to warm-start the
+    /// tile-shape solve).
     ///
     /// The exponent is rationalized (denominator ≤ 12) because the theory
     /// guarantees σ is a small rational (an LP optimum over unit constraints).
-    pub fn fit_power_law(&self) -> PowerLaw {
-        self.fit_power_law_instrumented().0
-    }
-
-    /// [`Self::fit_power_law`] plus the aggregated accounting of its probe
-    /// solves and the final probe's optimal extents (callers reuse them to
-    /// warm-start the tile-shape solve).
-    ///
     /// The probes warm-start each other: the `4X` problem continues from the
     /// `X` optimum, which keeps all three in the same basin of the
     /// multi-extremal objective and removes the repeated travel phase.
-    pub fn fit_power_law_instrumented(&self) -> (PowerLaw, SolveInfo, Vec<f64>) {
-        self.fit_power_law_governed(None)
-            // lint:allow(unwrap-expect): Deadline::none() never expires; this fit is explicitly ungoverned
-            .expect("ungoverned fit cannot expire")
-    }
-
-    /// [`Self::fit_power_law_instrumented`] under a [`Deadline`]: returns
-    /// [`Expired`] as soon as any probe solve runs out of budget (a partial
-    /// probe set cannot produce a trustworthy exponent fit).
-    pub fn fit_power_law_governed(
+    ///
+    /// Returns [`Expired`] as soon as any probe solve runs out of `deadline`
+    /// (a partial probe set cannot produce a trustworthy exponent fit).
+    pub fn fit_power_law(
         &self,
-        deadline: Option<&Deadline>,
+        deadline: &Deadline,
     ) -> Result<(PowerLaw, SolveInfo, Vec<f64>), Expired> {
         let mut info = SolveInfo::default();
         let xs = POWER_LAW_PROBES;
         let mut warm: Option<Vec<f64>> = None;
         let mut chis = Vec::with_capacity(xs.len());
         for &x in &xs {
-            let (sol, i) = self.solve_seeded_governed(x, warm.as_deref(), deadline)?;
+            let (sol, i) = self.solve(x, warm.as_deref(), deadline)?;
             info.absorb(i);
             chis.push(sol.chi);
             warm = Some(sol.extents);
@@ -1074,7 +1041,7 @@ mod tests {
     #[test]
     fn mmm_solution_is_symmetric() {
         let p = mmm_problem();
-        let sol = p.solve(3.0e6);
+        let sol = p.solve(3.0e6, None, &Deadline::never()).unwrap().0;
         // Optimal tiles: Di = Dj = Dk = sqrt(X/3) = 1000.
         for e in &sol.extents {
             assert!((e - 1000.0).abs() / 1000.0 < 0.01, "extent {e}");
@@ -1085,7 +1052,7 @@ mod tests {
     #[test]
     fn mmm_power_law_matches_paper() {
         let p = mmm_problem();
-        let law = p.fit_power_law();
+        let law = p.fit_power_law(&Deadline::never()).unwrap().0;
         assert_eq!(law.exponent, Rational::new(3, 2));
         // c = (1/3)^{3/2} ≈ 0.19245
         assert!((law.coeff - 0.19245).abs() < 0.005, "coeff {}", law.coeff);
@@ -1108,7 +1075,7 @@ mod tests {
         let chi = di.clone().mul(dt.clone());
         let g = di.clone().add(Expr::int(2).mul(dt.clone()));
         let p = ConstrainedProduct::new(vec!["Di".into(), "Dt".into()], chi, g);
-        let law = p.fit_power_law();
+        let law = p.fit_power_law(&Deadline::never()).unwrap().0;
         assert_eq!(law.exponent, Rational::int(2));
         // optimum: Di = X/2, Dt = X/4 -> χ = X²/8.
         assert!((law.coeff - 0.125).abs() < 0.01, "coeff {}", law.coeff);
@@ -1126,7 +1093,7 @@ mod tests {
         let chi = di.clone().mul(dj.clone());
         let g = chi.clone().add(di.clone()).add(dj.clone());
         let p = ConstrainedProduct::new(vec!["Di".into(), "Dj".into()], chi, g);
-        let law = p.fit_power_law();
+        let law = p.fit_power_law(&Deadline::never()).unwrap().0;
         assert_eq!(law.exponent, Rational::ONE);
         assert!((law.coeff - 1.0).abs() < 0.02);
         assert!(law.optimal_x().is_none());
@@ -1142,7 +1109,7 @@ mod tests {
             d("D1").mul(d("D2")),
             d("D1").add(d("D2")),
         );
-        let sol = p.solve(100.0);
+        let sol = p.solve(100.0, None, &Deadline::never()).unwrap().0;
         assert!(sol.extents.iter().all(|&e| e >= 1.0));
         assert!((sol.constraint_value - 100.0).abs() < 1.0);
         assert!((sol.chi - 2500.0).abs() < 50.0);
@@ -1153,8 +1120,8 @@ mod tests {
         let p = mmm_problem();
         assert!(p.is_compiled());
         for x in [1.0e5, 3.0e6, 1.0e8] {
-            let fast = p.solve(x);
-            let slow = p.solve_reference(x);
+            let fast = p.solve(x, None, &Deadline::never()).unwrap().0;
+            let slow = p.solve_reference(x, &Deadline::never()).unwrap();
             assert!(
                 (fast.chi - slow.chi).abs() / slow.chi < 1e-6,
                 "chi {} vs {}",
@@ -1167,13 +1134,15 @@ mod tests {
         }
         // The fitted laws must snap to the same rational exponent and the
         // same constant within the closed-form recognition tolerance.
-        let fast_law = p.fit_power_law();
+        let fast_law = p.fit_power_law(&Deadline::never()).unwrap().0;
         let slow_law = ConstrainedProduct::new_reference(
             p.variables.clone(),
             p.objective.clone(),
             p.constraint.clone(),
         )
-        .fit_power_law();
+        .fit_power_law(&Deadline::never())
+        .unwrap()
+        .0;
         assert_eq!(fast_law.exponent, slow_law.exponent);
         assert!((fast_law.coeff - slow_law.coeff).abs() / slow_law.coeff < 1e-6);
     }
@@ -1188,8 +1157,8 @@ mod tests {
             d("Dr").max(d("Dw")).add(d("Dr")),
         );
         assert!(p.is_compiled());
-        let sol = p.solve(1000.0);
-        let slow = p.solve_reference(1000.0);
+        let sol = p.solve(1000.0, None, &Deadline::never()).unwrap().0;
+        let slow = p.solve_reference(1000.0, &Deadline::never()).unwrap();
         assert!(sol.chi.is_finite() && sol.chi > 0.0);
         assert!((sol.constraint_value - 1000.0).abs() < 1.0);
         assert!(
@@ -1206,8 +1175,8 @@ mod tests {
             d("Dr").max(d("Dw")).mul(d("Dc")).add(d("Dr").mul(d("Dw"))),
         );
         assert!(conv.is_compiled());
-        let fast = conv.solve(1.0e6);
-        let slow = conv.solve_reference(1.0e6);
+        let fast = conv.solve(1.0e6, None, &Deadline::never()).unwrap().0;
+        let slow = conv.solve_reference(1.0e6, &Deadline::never()).unwrap();
         assert!((fast.constraint_value - 1.0e6).abs() < 1.0e3);
         // The analytic optimum is a²c with ac + a² = X at a² = X/3:
         // χ = √(X/3)·(2X/3) ≈ 3.849e8.  The compiled path must reach it; the
@@ -1230,7 +1199,7 @@ mod tests {
         // concurrently, so only monotone growth is asserted.
         let before = solver_counters();
         let p = mmm_problem();
-        p.solve(1.0e6);
+        p.solve(1.0e6, None, &Deadline::never()).unwrap();
         let after = solver_counters();
         assert!(after.solves > before.solves);
         assert!(after.compiled_solves > before.compiled_solves);
@@ -1239,24 +1208,18 @@ mod tests {
 
     #[test]
     fn governed_solve_honours_the_deadline() {
-        use crate::deadline::Deadline;
         let p = mmm_problem();
         // An already-cancelled deadline trips the very first poll.
         let dead = Deadline::never();
         dead.cancel();
-        assert!(matches!(
-            p.solve_seeded_governed(1.0e6, None, Some(&dead)),
-            Err(Expired)
-        ));
-        assert!(matches!(
-            p.fit_power_law_governed(Some(&dead)),
-            Err(Expired)
-        ));
-        // A live deadline changes nothing: byte-identical to the ungoverned
-        // solve (the poll is on the same iteration schedule either way).
-        let live = Deadline::never();
-        let (gov, _) = p.solve_seeded_governed(1.0e6, None, Some(&live)).unwrap();
-        let (plain, _) = p.solve_seeded_instrumented(1.0e6, None);
+        assert!(matches!(p.solve(1.0e6, None, &dead), Err(Expired)));
+        assert!(matches!(p.fit_power_law(&dead), Err(Expired)));
+        // A live wall-clock deadline changes nothing: byte-identical to the
+        // ungoverned solve (the poll is on the same iteration schedule
+        // either way).
+        let live = Deadline::after(std::time::Duration::from_secs(3600));
+        let (gov, _) = p.solve(1.0e6, None, &live).unwrap();
+        let plain = p.solve(1.0e6, None, &Deadline::never()).unwrap().0;
         assert_eq!(gov.extents, plain.extents);
         assert_eq!(gov.chi.to_bits(), plain.chi.to_bits());
     }

@@ -14,12 +14,13 @@ fn main() {
     // Full networks through the SDG (inter-layer reuse is captured).
     for name in ["softmax", "mlp", "lenet-5", "bert-encoder"] {
         let entry = soap::kernels::by_name(name).expect("kernel exists");
-        let analysis = analyze_program_with(
+        let analysis = analyze_program_with_cache(
             &entry.program,
             &SdgOptions {
                 assume_injective: entry.assume_injective,
                 ..SdgOptions::default()
             },
+            &SolveCache::new(),
         )
         .expect("analysis succeeds");
         println!("{name:<14} Q ≥ {}", analysis.bound);

@@ -45,6 +45,8 @@ pub mod prelude {
     pub use soap_ir::{
         ArrayAccess, IterationDomain, Program, ProgramBuilder, Statement, StatementBuilder,
     };
-    pub use soap_sdg::{analyze_program, analyze_program_with, ProgramAnalysis, SdgOptions};
+    pub use soap_sdg::{
+        analyze_program, analyze_program_with_cache, ProgramAnalysis, SdgOptions, SolveCache,
+    };
     pub use soap_symbolic::{Expr, Polynomial, Rational};
 }
