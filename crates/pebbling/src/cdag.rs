@@ -1,7 +1,7 @@
 //! Explicit CDAG construction from a SOAP program and concrete parameters.
 
-use soap_ir::{Program, Statement};
-use std::collections::BTreeMap;
+use soap_ir::{AccessComponent, ArrayAccess, LinIndex, Program, Statement};
+use std::collections::{BTreeMap, HashMap};
 
 /// Vertex identifier (dense, 0-based).
 pub type VertexId = usize;
@@ -113,23 +113,33 @@ impl Cdag {
     /// execution creates a fresh vertex for the written element (so updates
     /// and stencil sweeps produce version chains), and reads refer to the
     /// latest version of the element, creating an input vertex on first use.
+    ///
+    /// Each statement's subscripts are compiled once against `params`, so an
+    /// iteration evaluates them with a few multiply-adds and probes a
+    /// per-array map without allocating.
     pub fn from_program(program: &Program, params: &BTreeMap<String, i64>) -> Cdag {
-        let mut g = Cdag::default();
-        // (array, element index) -> current vertex holding its latest version.
-        let mut latest: BTreeMap<(String, Vec<i64>), VertexId> = BTreeMap::new();
-
-        for (sidx, st) in program.statements.iter().enumerate() {
-            build_statement(&mut g, &mut latest, sidx, st, params);
-        }
-        // Final *computed* versions are the program outputs (read-only arrays
-        // also sit in `latest` but never need storing back).
-        g.outputs = latest
-            .values()
-            .copied()
-            .filter(|&v| matches!(g.kinds[v], VertexKind::Compute { .. }))
+        let mut arrays: BTreeMap<&str, usize> = BTreeMap::new();
+        let statements: Vec<CompiledStatement<'_>> = program
+            .statements
+            .iter()
+            .map(|st| CompiledStatement::new(st, params, &mut arrays))
             .collect();
-        g.outputs.sort_unstable();
-        g.outputs.dedup();
+        let mut b = Builder {
+            g: Cdag::default(),
+            latest: vec![HashMap::new(); arrays.len()],
+            superseded: Vec::new(),
+        };
+        for (sidx, (st, cst)) in program.statements.iter().zip(&statements).enumerate() {
+            b.statement(sidx, st, cst, params);
+        }
+        let Builder {
+            mut g, superseded, ..
+        } = b;
+        // Final *computed* versions are the program outputs (read-only arrays
+        // have only input vertices and never need storing back).
+        g.outputs = (0..g.len())
+            .filter(|&v| !superseded[v] && matches!(g.kinds[v], VertexKind::Compute { .. }))
+            .collect();
         // Derive the child CSR from the parent edges: count in-degrees, take
         // prefix sums, then scatter.
         let mut degree = vec![0usize; g.len()];
@@ -155,74 +165,215 @@ impl Cdag {
         g
     }
 
-    fn add_vertex(&mut self, kind: VertexKind, parents: Vec<VertexId>) -> VertexId {
+    fn add_vertex(&mut self, kind: VertexKind, parents: &[VertexId]) -> VertexId {
         let id = self.kinds.len();
         self.kinds.push(kind);
-        self.parent_targets.extend_from_slice(&parents);
+        self.parent_targets.extend_from_slice(parents);
         self.parent_offsets.push(self.parent_targets.len());
         id
     }
 }
 
-fn build_statement(
-    g: &mut Cdag,
-    latest: &mut BTreeMap<(String, Vec<i64>), VertexId>,
-    sidx: usize,
-    st: &Statement,
-    params: &BTreeMap<String, i64>,
-) {
-    let var_names = st.loop_variables();
-    for iteration in st.domain.enumerate(params) {
-        let bindings: BTreeMap<String, i64> = var_names
+/// One array subscript compiled against concrete parameters: `offset` has the
+/// parameters folded in, and `terms` holds `(loop slot, coefficient)` for the
+/// loop variables it reads.
+struct Subscript {
+    offset: i64,
+    terms: Vec<(usize, i64)>,
+}
+
+impl Subscript {
+    /// Compile `ix` under the bindings the iteration vector and `params`
+    /// give (a parameter shadows a loop variable of the same name); `None` if
+    /// it names an unbound symbol.
+    fn new(ix: &LinIndex, loops: &[String], params: &BTreeMap<String, i64>) -> Option<Subscript> {
+        let mut offset = ix.offset;
+        let mut terms = Vec::new();
+        for (name, &coeff) in &ix.coeffs {
+            if let Some(&p) = params.get(name) {
+                offset += coeff * p;
+            } else {
+                terms.push((loops.iter().rposition(|l| l == name)?, coeff));
+            }
+        }
+        Some(Subscript { offset, terms })
+    }
+
+    fn eval(&self, iteration: &[i64]) -> i64 {
+        self.terms.iter().fold(self.offset, |acc, &(slot, coeff)| {
+            acc + coeff * iteration[slot]
+        })
+    }
+}
+
+/// An access component compiled to one [`Subscript`] per array dimension.
+struct Component(Vec<Subscript>);
+
+impl Component {
+    /// `None` if any subscript names an unbound symbol: such a component
+    /// addresses no element and is skipped.
+    fn new(c: &AccessComponent, loops: &[String], params: &BTreeMap<String, i64>) -> Option<Self> {
+        c.indices
             .iter()
-            .cloned()
-            .zip(iteration.iter().copied())
-            .chain(params.iter().map(|(k, v)| (k.clone(), *v)))
+            .map(|ix| Subscript::new(ix, loops, params))
+            .collect::<Option<Vec<_>>>()
+            .map(Component)
+    }
+
+    /// Write the element index at `iteration` into `out`.
+    fn eval_into(&self, iteration: &[i64], out: &mut Vec<i64>) {
+        out.clear();
+        out.extend(self.0.iter().map(|s| s.eval(iteration)));
+    }
+}
+
+/// An array access with its array interned to a dense id.
+struct CompiledAccess<'p> {
+    array: usize,
+    name: &'p str,
+    components: Vec<Component>,
+}
+
+impl<'p> CompiledAccess<'p> {
+    fn new(
+        acc: &'p ArrayAccess,
+        loops: &[String],
+        params: &BTreeMap<String, i64>,
+        arrays: &mut BTreeMap<&'p str, usize>,
+    ) -> Self {
+        CompiledAccess {
+            array: intern(arrays, &acc.array),
+            name: &acc.array,
+            components: acc
+                .components
+                .iter()
+                .filter_map(|c| Component::new(c, loops, params))
+                .collect(),
+        }
+    }
+}
+
+/// The dense id of array `name`, assigned in order of first appearance.
+fn intern<'p>(arrays: &mut BTreeMap<&'p str, usize>, name: &'p str) -> usize {
+    let next = arrays.len();
+    *arrays.entry(name).or_insert(next)
+}
+
+struct CompiledStatement<'p> {
+    inputs: Vec<CompiledAccess<'p>>,
+    /// The written array's id.
+    output: usize,
+    /// The output's first component, if every subscript is bound.
+    written: Option<Component>,
+}
+
+impl<'p> CompiledStatement<'p> {
+    fn new(
+        st: &'p Statement,
+        params: &BTreeMap<String, i64>,
+        arrays: &mut BTreeMap<&'p str, usize>,
+    ) -> Self {
+        let loops = st.loop_variables();
+        let inputs = st
+            .inputs
+            .iter()
+            .map(|acc| CompiledAccess::new(acc, &loops, params, arrays))
             .collect();
+        let output = intern(arrays, &st.output.array);
+        let written = st
+            .output
+            .components
+            .first()
+            .and_then(|c| Component::new(c, &loops, params));
+        CompiledStatement {
+            inputs,
+            output,
+            written,
+        }
+    }
+}
+
+/// Construction state: the graph so far and, per interned array, the vertex
+/// holding each element's latest version.
+struct Builder {
+    g: Cdag,
+    latest: Vec<HashMap<Vec<i64>, VertexId>>,
+    /// Per vertex, whether a later write replaced it as its element's latest
+    /// version.
+    superseded: Vec<bool>,
+}
+
+impl Builder {
+    fn add_vertex(&mut self, kind: VertexKind, parents: &[VertexId]) -> VertexId {
+        self.superseded.push(false);
+        self.g.add_vertex(kind, parents)
+    }
+
+    /// The latest version of element `index` of array `array` (named
+    /// `name`), creating an input vertex on first use.
+    fn read(&mut self, array: usize, name: &str, index: &[i64]) -> VertexId {
+        if let Some(&v) = self.latest[array].get(index) {
+            return v;
+        }
+        let v = self.add_vertex(
+            VertexKind::Input {
+                array: name.to_string(),
+                index: index.to_vec(),
+            },
+            &[],
+        );
+        self.latest[array].insert(index.to_vec(), v);
+        v
+    }
+
+    fn statement(
+        &mut self,
+        sidx: usize,
+        st: &Statement,
+        cst: &CompiledStatement<'_>,
+        params: &BTreeMap<String, i64>,
+    ) {
         let mut parents = Vec::new();
-        let read = |g: &mut Cdag,
-                    latest: &mut BTreeMap<(String, Vec<i64>), VertexId>,
-                    array: &str,
-                    index: Vec<i64>| {
-            let key = (array.to_string(), index.clone());
-            let v = *latest.entry(key).or_insert_with(|| {
-                g.add_vertex(
-                    VertexKind::Input {
-                        array: array.to_string(),
-                        index,
-                    },
-                    Vec::new(),
-                )
-            });
-            v
-        };
-        for acc in &st.inputs {
-            for comp in &acc.components {
-                if let Some(index) = comp.eval(&bindings) {
-                    parents.push(read(g, latest, &acc.array, index));
+        let mut index = Vec::new();
+        let mut out_index = Vec::new();
+        for iteration in st.domain.enumerate(params) {
+            parents.clear();
+            for acc in &cst.inputs {
+                for comp in &acc.components {
+                    comp.eval_into(&iteration, &mut index);
+                    parents.push(self.read(acc.array, acc.name, &index));
+                }
+            }
+            cst.written
+                .as_ref()
+                // lint:allow(unwrap-expect): Statement::validate admits only loop variables in subscripts
+                .expect("output subscripts evaluate under loop bindings")
+                .eval_into(&iteration, &mut out_index);
+            if st.is_update {
+                // The previous version of the output element is also an operand.
+                parents.push(self.read(cst.output, &st.output.array, &out_index));
+            }
+            parents.sort_unstable();
+            parents.dedup();
+            let v = self.add_vertex(
+                VertexKind::Compute {
+                    statement: sidx,
+                    iteration,
+                    array: st.output.array.clone(),
+                    index: out_index.clone(),
+                },
+                &parents,
+            );
+            match self.latest[cst.output].get_mut(out_index.as_slice()) {
+                Some(slot) => {
+                    self.superseded[*slot] = true;
+                    *slot = v;
+                }
+                None => {
+                    self.latest[cst.output].insert(out_index.clone(), v);
                 }
             }
         }
-        let out_index = st.output.components[0]
-            .eval(&bindings)
-            // lint:allow(unwrap-expect): output subscripts were validated when the CDAG was built
-            .expect("output subscripts evaluate under loop bindings");
-        if st.is_update {
-            // The previous version of the output element is also an operand.
-            parents.push(read(g, latest, &st.output.array, out_index.clone()));
-        }
-        parents.sort_unstable();
-        parents.dedup();
-        let v = g.add_vertex(
-            VertexKind::Compute {
-                statement: sidx,
-                iteration,
-                array: st.output.array.clone(),
-                index: out_index.clone(),
-            },
-            parents,
-        );
-        latest.insert((st.output.array.clone(), out_index), v);
     }
 }
 

@@ -259,6 +259,33 @@ mod tests {
     }
 
     #[test]
+    fn store_requires_red() {
+        let g = tiny_chain();
+        let mut game = PebbleGame::new(&g, 4);
+        let inputs = g.inputs();
+        assert_eq!(
+            game.apply(Move::Store(inputs[0])),
+            Err(PebblingError::StoreWithoutRed(inputs[0]))
+        );
+        game.apply(Move::Load(inputs[0])).unwrap();
+        assert_eq!(game.apply(Move::Store(inputs[0])), Ok(()));
+    }
+
+    #[test]
+    fn discard_requires_red() {
+        let g = tiny_chain();
+        let mut game = PebbleGame::new(&g, 4);
+        let inputs = g.inputs();
+        game.apply(Move::Load(inputs[0])).unwrap();
+        game.apply(Move::DiscardRed(inputs[0])).unwrap();
+        assert_eq!(
+            game.apply(Move::DiscardRed(inputs[0])),
+            Err(PebblingError::DiscardWithoutRed(inputs[0]))
+        );
+        assert_eq!(game.reds_in_use(), 0);
+    }
+
+    #[test]
     fn missing_outputs_are_reported() {
         let g = tiny_chain();
         let mut game = PebbleGame::new(&g, 4);

@@ -18,6 +18,8 @@
 use soap_bench::{analyze_kernel, reference_bindings};
 use std::fmt::Write as _;
 
+mod common;
+
 const GOLDEN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/registry_bounds.txt"
@@ -53,47 +55,7 @@ fn snapshot() -> String {
 
 #[test]
 fn registry_bounds_match_the_committed_golden_file() {
-    let current = snapshot();
-    if std::env::var("SOAP_UPDATE_GOLDEN").is_ok() {
-        std::fs::write(GOLDEN_PATH, &current).expect("write golden file");
-        eprintln!("updated {GOLDEN_PATH} — review the diff before committing");
-        return;
-    }
-    let golden = std::fs::read_to_string(GOLDEN_PATH).unwrap_or_else(|e| {
-        panic!(
-            "cannot read {GOLDEN_PATH}: {e}\n\
-             generate it with: SOAP_UPDATE_GOLDEN=1 cargo test --test registry_golden_bounds"
-        )
-    });
-    if golden == current {
-        return;
-    }
-    // Readable diff: every differing line with its line number, plus
-    // insertions/deletions at the tail.
-    let mut diff = String::new();
-    let mut differing = 0usize;
-    let g: Vec<&str> = golden.lines().collect();
-    let c: Vec<&str> = current.lines().collect();
-    for i in 0..g.len().max(c.len()) {
-        let old = g.get(i).copied();
-        let new = c.get(i).copied();
-        if old != new {
-            differing += 1;
-            if differing <= 40 {
-                let _ = writeln!(diff, "line {:>4}: - {}", i + 1, old.unwrap_or("<missing>"));
-                let _ = writeln!(diff, "           + {}", new.unwrap_or("<missing>"));
-            }
-        }
-    }
-    if differing > 40 {
-        let _ = writeln!(diff, "… and {} more differing lines", differing - 40);
-    }
-    panic!(
-        "registry bounds drifted from {GOLDEN_PATH} ({differing} differing lines):\n{diff}\n\
-         If the change is intentional, regenerate with\n\
-         SOAP_UPDATE_GOLDEN=1 cargo test --test registry_golden_bounds\n\
-         and review the golden diff line by line."
-    );
+    common::check_golden(GOLDEN_PATH, &snapshot(), "registry_golden_bounds");
 }
 
 #[test]
