@@ -13,9 +13,7 @@
 
 #![forbid(unsafe_code)]
 
-use soap_bench::{
-    render_suite_summary, render_table, suite_summary_record, table2_suite, Table2Row,
-};
+use soap_bench::{render_suite_summary, render_table, table2_suite, Table2Row};
 use soap_kernels::KernelGroup;
 
 fn main() {
@@ -68,8 +66,9 @@ fn main() {
         println!("wrote {path}");
     }
     if let Some(path) = suite_json_path {
-        let json = serde_json::to_string_pretty(&suite_summary_record(&suite))
-            .expect("suite summary serializes");
+        // `SuiteSummary`'s `Serialize` impl in `soap-sdg`: the same record
+        // `soap-cli batch` emits.
+        let json = serde_json::to_string_pretty(&suite).expect("suite summary serializes");
         std::fs::write(&path, json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
         println!("wrote {path}");
     }

@@ -5,58 +5,21 @@
 //! ```text
 //! cargo run --release -p soap-bench --bin validate_pebbling
 //! ```
+//!
+//! Exits 1 when a schedule beats its bound or a case yields no report (an
+//! unknown kernel, or a failed analysis or simulation): a case that cannot
+//! run checks nothing, so it must not pass.
 
 #![forbid(unsafe_code)]
 
-use soap_bench::validation::{validate_kernel, ValidationCase};
+use soap_bench::validation::{validate_kernel, CASES};
 
 fn main() {
-    let cases = [
-        ValidationCase {
-            kernel: "gemm",
-            size: 8,
-            s: 24,
-        },
-        ValidationCase {
-            kernel: "gemm",
-            size: 12,
-            s: 48,
-        },
-        ValidationCase {
-            kernel: "gemm",
-            size: 16,
-            s: 96,
-        },
-        ValidationCase {
-            kernel: "jacobi-1d",
-            size: 32,
-            s: 16,
-        },
-        ValidationCase {
-            kernel: "jacobi-1d",
-            size: 48,
-            s: 24,
-        },
-        ValidationCase {
-            kernel: "jacobi-2d",
-            size: 10,
-            s: 32,
-        },
-        ValidationCase {
-            kernel: "lu",
-            size: 12,
-            s: 48,
-        },
-        ValidationCase {
-            kernel: "atax",
-            size: 24,
-            s: 32,
-        },
-    ];
     println!("kernel        size   S     bound      naive    tiled    tiled/bound");
     println!("{}", "-".repeat(78));
     let mut violations = 0;
-    for case in &cases {
+    let mut skipped = 0;
+    for case in &CASES {
         match validate_kernel(case) {
             Some(report) => {
                 let ok = report.naive_io as f64 >= report.lower_bound * 0.999
@@ -66,14 +29,17 @@ fn main() {
                 }
                 println!("{report}{}", if ok { "" } else { "   <-- VIOLATION" });
             }
-            None => println!(
-                "{}: skipped (analysis or simulation unavailable)",
-                case.kernel
-            ),
+            None => {
+                skipped += 1;
+                println!(
+                    "{} size={} S={}: SKIPPED (analysis or simulation unavailable)",
+                    case.kernel, case.size, case.s
+                );
+            }
         }
     }
-    if violations > 0 {
-        eprintln!("{violations} lower-bound violations detected");
+    if violations > 0 || skipped > 0 {
+        eprintln!("{violations} lower-bound violation(s), {skipped} case(s) that could not run");
         std::process::exit(1);
     }
     println!("\nAll simulated schedules respect the derived lower bounds.");

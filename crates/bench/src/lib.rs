@@ -2,17 +2,16 @@
 //!
 //! The evaluation harness: everything needed to regenerate the paper's
 //! Table 2 (per-kernel leading-order I/O lower bounds and improvement factors
-//! over the previous state of the art) and the validation experiments
-//! (pebbling simulations vs. analytic bounds, SDG scalability, analysis
-//! runtime).
+//! over the previous state of the art) and the pebbling validation (simulated
+//! schedules vs. analytic bounds).
 //!
-//! The library part contains the shared row-building code; the binaries
-//! (`table2`, `validate_pebbling`) print human-readable tables and emit
-//! machine-readable JSON records, and the `perf` binary times the individual
-//! pipeline stages.
+//! The library part contains the shared row-building code, the pebbling
+//! [`validation`] cases and the serve [`load`] harness.  The binaries are
+//! `table2` and `validate_pebbling` (human-readable tables plus JSON
+//! records), `loadgen` (the serve smoke client), and `perf`, the live CI perf
+//! gate that asserts timing relations within one fresh run.
 #![forbid(unsafe_code)]
 
-pub mod fixtures;
 pub mod load;
 pub mod validation;
 
@@ -237,14 +236,6 @@ pub fn table2_suite(group: Option<KernelGroup>) -> (Vec<Table2Row>, SuiteSummary
 /// Build all rows of a group (or all groups when `group` is `None`).
 pub fn table2(group: Option<KernelGroup>) -> Vec<Table2Row> {
     table2_suite(group).0
-}
-
-/// The suite-level accounting of a batch run as a JSON record (shared by the
-/// `table2` and `perf` binaries and the CI suite artifact).  The record
-/// layout is defined once, by `SuiteSummary`'s `Serialize` impl in
-/// `soap-sdg` — the same one `soap-cli batch` emits.
-pub fn suite_summary_record(summary: &SuiteSummary) -> serde_json::Value {
-    serde_json::to_value(summary)
 }
 
 /// One-line human rendering of a batch run's suite-level cache accounting.

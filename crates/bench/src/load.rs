@@ -13,8 +13,8 @@
 //! healthy server answers all but the first from the response memo — the
 //! measured steady state is the dedup path the daemon exists for.
 //!
-//! Used by the `loadgen` binary (standalone runs and the CI smoke test) and
-//! by the `perf` snapshot (the `serve/*` benches in `BENCH_*.json`).
+//! Used by the `loadgen` binary (standalone runs and the CI serve smoke
+//! test).
 
 use serde_json::Value;
 use soap_serve::{RunningServer, ServeConfig};
@@ -128,8 +128,7 @@ pub struct LoadReport {
 }
 
 impl LoadReport {
-    /// The report as a JSON object (embedded in `BENCH_*.json` and written
-    /// by `loadgen --out`).
+    /// The report as a JSON object (written by `loadgen --out`).
     pub fn to_value(&self) -> Value {
         let int = |n: u64| Value::Int(n as i128);
         Value::Object(vec![

@@ -19,6 +19,51 @@ pub struct ValidationCase {
     pub s: usize,
 }
 
+/// The cases `validate_pebbling` runs: small instances of dense linear
+/// algebra and stencils, each with a red-pebble budget the analysis covers.
+pub const CASES: [ValidationCase; 8] = [
+    ValidationCase {
+        kernel: "gemm",
+        size: 8,
+        s: 24,
+    },
+    ValidationCase {
+        kernel: "gemm",
+        size: 12,
+        s: 48,
+    },
+    ValidationCase {
+        kernel: "gemm",
+        size: 16,
+        s: 96,
+    },
+    ValidationCase {
+        kernel: "jacobi-1d",
+        size: 32,
+        s: 16,
+    },
+    ValidationCase {
+        kernel: "jacobi-1d",
+        size: 48,
+        s: 24,
+    },
+    ValidationCase {
+        kernel: "jacobi-2d",
+        size: 10,
+        s: 32,
+    },
+    ValidationCase {
+        kernel: "lu",
+        size: 12,
+        s: 48,
+    },
+    ValidationCase {
+        kernel: "atax",
+        size: 24,
+        s: 32,
+    },
+];
+
 /// The outcome of one validation case.
 #[derive(Clone, Debug)]
 pub struct ValidationReport {
@@ -160,6 +205,13 @@ mod tests {
         })
         .unwrap();
         assert!(report.naive_io as f64 >= report.lower_bound, "{report}");
+    }
+
+    #[test]
+    fn every_validation_case_runs() {
+        for case in &CASES {
+            assert!(validate_kernel(case).is_some(), "{case:?} yields no report");
+        }
     }
 
     #[test]

@@ -101,9 +101,7 @@ fn usage() -> ! {
          SOAP_SERVE_HTTP_THREADS  daemon HTTP connection threads (see --http-threads)\n  \
          SOAP_SERVE_SLOTS         daemon concurrent analysis slots (see --slots)\n  \
          SOAP_SERVE_QUEUE         daemon admission queue capacity (see --queue)\n  \
-         SOAP_SERVE_MEMO_CAP      daemon memoized-response cache capacity (see --memo-cap)\n  \
-         SOAP_DEBUG_KKT           print per-iteration KKT solver state to stderr (debug aid;\n                     \
-         output is unaffected)"
+         SOAP_SERVE_MEMO_CAP      daemon memoized-response cache capacity (see --memo-cap)"
     );
     std::process::exit(2);
 }

@@ -1,10 +1,5 @@
-//! The private test copy of `soap_bench::fixtures::chain_of_matmuls`.
-//!
-//! `soap-sdg`'s tests cannot depend on `soap-bench` (dependency cycle), so
-//! they carry this copy; the root-level `tests/fixture_sync.rs` test includes
-//! this very file via `#[path]` and asserts the built `Program`s are
-//! identical to `soap_bench::fixtures::chain_of_matmuls`, so the two copies
-//! cannot drift apart silently.
+//! Synthetic workloads shared by `soap-sdg`'s integration tests
+//! (`perf_smoke.rs`, `solver_differential.rs`).
 
 use soap_ir::{Program, ProgramBuilder};
 

@@ -3,8 +3,9 @@
 //! generous wall-clock budget even in debug builds.
 //!
 //! This is a CI tripwire against gross regressions on the enumeration /
-//! merge / simplification hot paths, not a benchmark — the `soap-bench`
-//! `perf` binary and `perfbench/` produce the real numbers.
+//! merge / simplification hot paths, not a benchmark — `perfbench/`
+//! produces the real numbers, and the `soap-bench` `perf` gate checks
+//! timing relations within one run.
 
 use soap_sdg::{analyze_program_with_cache, SdgOptions, SolveCache};
 use std::time::{Duration, Instant};

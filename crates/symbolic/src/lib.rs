@@ -53,10 +53,9 @@ pub use rational::Rational;
 ///
 /// * the Theorem-1 intensity maximum in `soap-sdg` (a subgraph whose `ρ`
 ///   failed to evaluate can never win the maximum),
-/// * the timing-sample sorts of the `perf` binary, where a single NaN
-///   sample must not panic a whole bench run — under this
-///   order it sorts to the front, so it surfaces loudly as a NaN minimum in
-///   the printed stats instead of aborting them.
+/// * the timing-sample sort of the `perf` gate, where a single NaN sample
+///   must not panic the run — under this order it sorts to the front and
+///   surfaces as a NaN minimum, and a NaN median fails its relation.
 ///
 /// "Last" refers to preference: NaN loses every `max_by` under this order.
 /// This differs from `f64::total_cmp`, which sorts *negative* NaN below all

@@ -690,7 +690,6 @@ impl ConstrainedProduct {
         // clamped ratio is immediately undone by the bisection projection.
         let mut in_constraint = vec![false; n];
         c.constraint.mark_occurring_vars(&mut in_constraint);
-        let debug = std::env::var("SOAP_DEBUG_KKT").is_ok();
         for iter in 0..KKT_ITERATION_CAP {
             if iter & DEADLINE_POLL_MASK == 0 && deadline.expired() {
                 return Err(Expired);
@@ -783,14 +782,6 @@ impl ConstrainedProduct {
                 }
                 best.0 = chi;
                 best.1.copy_from_slice(&extents);
-            }
-            if debug {
-                eprintln!(
-                    "iter {iter:3} dev {max_dev:9.3e} applied {applied_max:9.3e} gap {:9.3e} win {tie_window:9.3e} chi {chi:14.8e} radii {:?} extents {:?}",
-                    scratch.max.kink_gap(),
-                    radius.iter().map(|r| *r as f32).collect::<Vec<_>>(),
-                    extents.iter().map(|e| *e as f32).collect::<Vec<_>>()
-                );
             }
             if max_dev < DEV_DEADBAND {
                 converged = true;
